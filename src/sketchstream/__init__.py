@@ -57,11 +57,9 @@ from .sketches import (
     estimate_cosine,
     fresh_state,
     merge,
-    new_family,
 )
 from .store import (
     GraphStore,
-    InsertOutcome,
     NodeKey,
     NodeTypeConflictError,
     PendingEdge,

@@ -69,16 +69,14 @@ def pairwise_distance_matrix(vectors: Sequence[Counter]) -> np.ndarray:
 
 
 def chunk_length_entropies(
-    vectors_by_length: Mapping[int, Sequence[Counter]],
+    distances_by_length: Mapping[int, np.ndarray],
     bins: int = DEFAULT_ENTROPY_BINS,
 ) -> dict[int, float]:
     """Entropy of the pairwise-distance distribution per candidate chunk length."""
-    entropies: dict[int, float] = {}
-    for length in sorted(vectors_by_length):
-        matrix = pairwise_distance_matrix(vectors_by_length[length])
-        upper = matrix[np.triu_indices(matrix.shape[0], k=1)]
-        entropies[length] = pairwise_entropy(upper, bins)
-    return entropies
+    return {
+        length: pairwise_entropy(matrix[np.triu_indices(matrix.shape[0], k=1)], bins)
+        for length, matrix in sorted(distances_by_length.items())
+    }
 
 
 def pick_chunk_length(entropies: Mapping[int, float]) -> int:
@@ -106,7 +104,11 @@ def select_chunk_length(
     sizes = {len(v) for v in vectors_by_length.values()}
     if len(sizes) != 1 or min(sizes) < 2:
         raise ValueError("need the same >= 2 training graphs at every candidate")
-    return pick_chunk_length(chunk_length_entropies(vectors_by_length, bins))
+    distances_by_length = {
+        length: pairwise_distance_matrix(vectors)
+        for length, vectors in sorted(vectors_by_length.items())
+    }
+    return pick_chunk_length(chunk_length_entropies(distances_by_length, bins))
 
 
 def kmedoids(
@@ -349,18 +351,31 @@ def build_model(
 
     Returns the model and the medoid assignment of each training graph.
     """
-    vectors = [
-        Counter(
-            chunk
-            for node in store.graph_nodes(g)
-            for chunk in chunk_shingle(node_shingle(store, node, hops), chunk_length)
-        )
-        for g in graph_ids
-    ]
+    vectors = _vectors_by_length(store, graph_ids, hops, (chunk_length,))[chunk_length]
     distances = pairwise_distance_matrix(vectors)
     _, assignments = kmedoids(distances, n_clusters, cluster_seed)
     family = HashFamily.generate(sketch_bits, chunk_length, family_seed)
     return _assemble_model(vectors, assignments, family, hops, chunk_length, n_clusters), assignments
+
+
+def _vectors_by_length(
+    store: GraphStore, graph_ids: Sequence[int], hops: int, lengths: Sequence[int]
+) -> dict[int, list[Counter]]:
+    """Chunk-frequency vector of every graph at every chunk length.
+
+    Each node's shingle is built once and chunked at every length.
+    """
+    shingle_lists = [
+        [node_shingle(store, node, hops) for node in store.graph_nodes(g)]
+        for g in graph_ids
+    ]
+    return {
+        length: [
+            Counter(chunk for s in shingles for chunk in chunk_shingle(s, length))
+            for shingles in shingle_lists
+        ]
+        for length in sorted(set(lengths))
+    }
 
 
 def _assemble_model(
@@ -415,21 +430,16 @@ def bootstrap_model(
             f"need at least {counts[-1]} training graphs, have {len(graph_ids)}"
         )
 
-    shingle_lists = [
-        [node_shingle(store, node, hops) for node in store.graph_nodes(g)]
-        for g in graph_ids
-    ]
-    vectors_by_length = {
-        length: [
-            Counter(chunk for s in shingles for chunk in chunk_shingle(s, length))
-            for shingles in shingle_lists
-        ]
-        for length in sorted(set(candidate_chunk_lengths))
+    vectors_by_length = _vectors_by_length(store, graph_ids, hops, candidate_chunk_lengths)
+    # Keep every matrix: the chosen length's one is reused for clustering.
+    distances_by_length = {
+        length: pairwise_distance_matrix(vectors)
+        for length, vectors in vectors_by_length.items()
     }
-    entropies = chunk_length_entropies(vectors_by_length, entropy_bins)
+    entropies = chunk_length_entropies(distances_by_length, entropy_bins)
     chunk_length = pick_chunk_length(entropies)
     vectors = vectors_by_length[chunk_length]
-    distances = pairwise_distance_matrix(vectors)
+    distances = distances_by_length[chunk_length]
 
     best: tuple[float, int, np.ndarray] | None = None
     for n_clusters in counts:

@@ -2,9 +2,9 @@
 
 The bootstrap runner loads a training stream whole (unbounded store),
 clusters it, and writes a text model file. The stream runner replays a
-test stream one edge at a time against a loaded model: store insertion
-with eviction, chunk delta, sketch update, cluster update, score; a
-snapshot of the instantaneous ranking is recorded every ``snapshot
+test stream one edge at a time against a loaded model: chunk delta
+(which inserts the edge), eviction, sketch update, cluster update, score;
+a snapshot of the instantaneous ranking is recorded every ``snapshot
 interval`` edges and once at stream end.
 
 Evicted edges never roll sketches back: a graph's projection accumulates
@@ -45,7 +45,6 @@ class RunConfig:
     snapshot_interval: int = 10_000
     cluster_seed: int = 0
     family_seed: int = 1
-    train_fraction: float = 0.75
     max_tracked_graphs: int | None = None
     entropy_bins: int = 10
 
@@ -58,8 +57,6 @@ class RunConfig:
             raise ValueError("max_edges must be positive or None")
         if self.snapshot_interval < 1:
             raise ValueError("snapshot_interval must be positive")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must lie in (0, 1)")
         if self.max_tracked_graphs is not None and self.max_tracked_graphs < 1:
             raise ValueError("max_tracked_graphs must be positive or None")
 
@@ -104,45 +101,72 @@ def save_model(model: ClusterModel, fp: IO[str]) -> None:
         fp.write(f"projection {q} {values}\n")
 
 
+_MODEL_FIELDS = ("sketch_bits", "chunk_length", "hops", "family_seed", "clusters")
+
+
 def load_model(fp: IO[str]) -> ClusterModel:
+    """Read a model file written by :func:`save_model`.
+
+    Raises ``ValueError`` naming the offending line unless the file is
+    exactly the header, the five fields in order, the K cluster lines and
+    the K projection lines, each section in cluster order, with
+    ``sketch_bits`` values per projection.
+    """
     lines = [line.rstrip("\n") for line in fp]
     if not lines or lines[0] != MODEL_HEADER:
-        raise ValueError("not a recognized model file")
+        raise _model_error(1, "not a recognized model file")
     fields: dict[str, int] = {}
-    for line in lines[1:5]:
-        key, _, value = line.partition(" ")
-        fields[key] = int(value)
-    for key in ("sketch_bits", "chunk_length", "hops", "family_seed"):
-        if key not in fields:
-            raise ValueError(f"model file is missing {key}")
-    key, _, value = lines[5].partition(" ")
-    if key != "clusters":
-        raise ValueError("model file is missing the cluster count")
-    n_clusters = int(value)
+    for line_no, key in enumerate(_MODEL_FIELDS, start=2):
+        if line_no > len(lines):
+            raise _model_error(line_no, f"missing {key}")
+        name, _, value = lines[line_no - 1].partition(" ")
+        if name != key:
+            raise _model_error(line_no, f"expected {key}, found {name!r}")
+        fields[key] = _model_value(int, value, line_no, 0 if key == "family_seed" else 1)
+    n_clusters = fields["clusters"]
+    sketch_bits = fields["sketch_bits"]
+    expected = 6 + 2 * n_clusters
+    if len(lines) != expected:
+        raise _model_error(
+            min(len(lines), expected) + 1,
+            f"{n_clusters} clusters need {expected} lines, file has {len(lines)}",
+        )
 
     sizes = np.zeros(n_clusters, dtype=np.int64)
     thresholds = np.zeros(n_clusters, dtype=np.float64)
-    centroids = np.zeros((n_clusters, fields["sketch_bits"]), dtype=np.float64)
-    for line in lines[6 : 6 + n_clusters]:
-        parts = line.split(" ")
-        if len(parts) != 6 or parts[0] != "cluster":
-            raise ValueError(f"malformed cluster line: {line!r}")
-        q = int(parts[1])
-        sizes[q] = int(parts[3])
-        thresholds[q] = float(parts[5])
-    for line in lines[6 + n_clusters : 6 + 2 * n_clusters]:
-        parts = line.split(" ")
-        if parts[0] != "projection":
-            raise ValueError(f"malformed projection line: {line!r}")
-        q = int(parts[1])
-        centroids[q] = [float(v) for v in parts[2:]]
+    centroids = np.zeros((n_clusters, sketch_bits), dtype=np.float64)
+    for q in range(n_clusters):
+        line_no = 7 + q
+        parts = lines[line_no - 1].split(" ")
+        if len(parts) != 6 or parts[:3] != ["cluster", str(q), "size"] or parts[4] != "threshold":
+            raise _model_error(line_no, f"expected 'cluster {q} size <n> threshold <t>'")
+        sizes[q] = _model_value(int, parts[3], line_no, 0)
+        thresholds[q] = _model_value(float, parts[5], line_no)
+    for q in range(n_clusters):
+        line_no = 7 + n_clusters + q
+        parts = lines[line_no - 1].split(" ")
+        if parts[:2] != ["projection", str(q)] or len(parts) != 2 + sketch_bits:
+            raise _model_error(line_no, f"expected 'projection {q}' and {sketch_bits} values")
+        centroids[q] = [_model_value(float, v, line_no) for v in parts[2:]]
 
-    family = HashFamily.generate(
-        fields["sketch_bits"], fields["chunk_length"], fields["family_seed"]
-    )
+    family = HashFamily.generate(sketch_bits, fields["chunk_length"], fields["family_seed"])
     return ClusterModel(
         family, fields["hops"], fields["chunk_length"], centroids, sizes, thresholds
     )
+
+
+def _model_error(line_no: int, message: str) -> ValueError:
+    return ValueError(f"model file line {line_no}: {message}")
+
+
+def _model_value(kind: type, text: str, line_no: int, minimum: int | None = None):
+    try:
+        value = kind(text)
+    except ValueError:
+        raise _model_error(line_no, f"{text!r} is not a valid {kind.__name__}") from None
+    if minimum is not None and value < minimum:
+        raise _model_error(line_no, f"{value} is below {minimum}")
+    return value
 
 
 # -- runners ----------------------------------------------------------------
@@ -221,9 +245,8 @@ def run_stream(
     edges = 0
     started = time.perf_counter()
     for rec in _iter_records(stream):
-        pending = store.prepare_edge(rec)
-        delta = edge_delta(store, pending, hops, chunk_length)
-        store.insert_prepared(pending)
+        delta = edge_delta(store, store.prepare_edge(rec), hops, chunk_length)
+        store.evict_to_capacity()
         if config.max_edges is not None and store.total_edges > config.max_edges:
             raise AssertionError("resident edges exceeded the configured bound")
 
@@ -282,7 +305,7 @@ def _snapshot(
 ) -> SnapshotRecord:
     ranking = model.ranking()
     rows = [
-        (graph_id, score, _assignment_text(model.assignments.get(graph_id, UNASSIGNED)))
+        (graph_id, score, str(model.assignments.get(graph_id, UNASSIGNED)))
         for graph_id, score in ranking
     ]
     ap = auc = None
@@ -298,10 +321,6 @@ def _snapshot(
         for graph_id, score, assignment in rows:
             csv_fp.write(f"{edges},{graph_id},{score!r},{assignment},{ap_text},{auc_text}\n")
     return record
-
-
-def _assignment_text(assignment: int | str) -> str:
-    return str(assignment)
 
 
 def load_labels_file(path: str | Path) -> dict[int, str]:

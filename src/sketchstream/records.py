@@ -56,14 +56,6 @@ class EdgeRecord:
     edge_type: str
     graph_id: int
 
-    def validate(self) -> None:
-        for name in ("source_type", "dest_type", "edge_type"):
-            if not _valid_symbol(getattr(self, name)):
-                raise ValueError(f"{name} must be a single printable ASCII symbol")
-        for name in _INT_FIELDS:
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-
 
 def parse_edge(line: str, line_no: int | None = None) -> EdgeRecord:
     """Parse one wire-format line into an :class:`EdgeRecord`.

@@ -6,71 +6,46 @@ traversal then expands each reached node's out-edges in
 destination type for every edge traversed, down to a fixed hop depth.
 A node reached several times contributes its type once per traversed
 edge, but its out-edges are expanded at most once per traversal.
+Shingles are always read from the live store.
 
 Shingles are split into fixed-length chunks, which are the unit actually
 counted and hashed. The per-edge delta of a graph is the multiset of
-chunks added and removed by one arriving edge, computed for every node
-whose shingle that edge can change: the nodes that reach the edge's
-source within ``k - 1`` hops, plus the destination when it is new.
+chunks added and removed by one arriving edge. :func:`edge_delta` takes
+the nodes whose shingle the edge can change (those that reach its source
+within ``k - 1`` hops, plus the destination when it is new), reads their
+shingles, inserts the edge, reads them again and cancels the two sides.
+It does not evict: the caller evicts afterwards, so that a delta holds
+only what its own edge changed and eviction never rolls a sketch back.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .store import GraphStore, NodeKey, PendingEdge, StoredEdge
+from .store import GraphStore, NodeKey, PendingEdge
 
 ShingleVector = Counter  # chunk -> frequency; zero counts are never stored
 
 
-def node_shingle(
-    store: GraphStore,
-    node: NodeKey,
-    hops: int,
-    pending: PendingEdge | None = None,
-    include_pending: bool = False,
-) -> str:
-    """Build the depth-limited ordered-traversal shingle of ``node``.
-
-    With ``include_pending`` the pending edge participates as if already
-    inserted (at its sorted position in its source's out-edges); otherwise
-    it is ignored entirely. ``node`` must be stored or be an endpoint of
-    the pending edge.
-    """
+def node_shingle(store: GraphStore, node: NodeKey, hops: int) -> str:
+    """Build the depth-limited ordered-traversal shingle of a stored node."""
     if hops < 1:
         raise ValueError("hops must be at least 1")
-    pending_edge = pending.edge if (pending is not None and include_pending) else None
-
-    def type_of(key: NodeKey) -> str:
-        entry = store.node_type(key)
-        if entry is not None:
-            return entry
-        if pending is not None:
-            if key == pending.edge.source:
-                return pending.source_type
-            if key == pending.edge.dest:
-                return pending.dest_type
-        raise KeyError(f"unknown node {key}")
-
-    def out_of(key: NodeKey) -> list[StoredEdge]:
-        base = store.out_edges(key)
-        if pending_edge is None or key != pending_edge.source:
-            return base
-        idx = bisect_right([e.order_key for e in base], pending_edge.order_key)
-        return base[:idx] + [pending_edge] + base[idx:]
-
+    type_of = store.node_type
+    node_type = type_of(node)
+    if node_type is None:
+        raise KeyError(f"unknown node {node}")
     if hops == 1:
-        parts = [type_of(node)]
-        for edge in out_of(node):
+        parts = [node_type]
+        for edge in store.out_edges(node):
             parts.append(edge.edge_type)
             parts.append(type_of(edge.dest))
         return "".join(parts)
 
-    parts = [type_of(node)]
+    parts = [node_type]
     expanded: set[NodeKey] = set()
     queue: deque[tuple[NodeKey, int]] = deque([(node, 0)])
     while queue:
@@ -78,7 +53,7 @@ def node_shingle(
         if depth >= hops or current in expanded:
             continue
         expanded.add(current)
-        for edge in out_of(current):
+        for edge in store.out_edges(current):
             parts.append(edge.edge_type)
             parts.append(type_of(edge.dest))
             queue.append((edge.dest, depth + 1))
@@ -116,32 +91,30 @@ class ChunkDelta:
         minus = Counter({c: -n for c, n in net.items() if n < 0})
         return cls(plus, minus)
 
-    def is_empty(self) -> bool:
-        return not self.incoming and not self.outgoing
-
 
 def edge_delta(store: GraphStore, pending: PendingEdge, hops: int, chunk_length: int) -> ChunkDelta:
-    """Chunk delta caused by inserting ``pending`` into the store.
+    """Insert ``pending`` into the store and return the chunk delta it causes.
 
-    Must be called before the edge is inserted. For every affected node,
-    the pre-insertion shingle (omitted for brand-new nodes) goes out and
-    the post-insertion shingle comes in; both sides are chunked and
-    cancelled.
+    For every affected node, the shingle before insertion (omitted for
+    brand-new nodes) goes out and the shingle after insertion comes in;
+    both sides are chunked and cancelled. A path that uses the new edge
+    u->v has already passed through u, so the edge lets no new node reach
+    u: the affected set taken before insertion is also the set after it.
+    The store is left holding the edge but not evicted; eviction must
+    follow the delta, never precede it.
     """
     edge = pending.edge
     affected = store.reverse_reach(edge.source, hops - 1)
     if not store.has_node(edge.dest):
         affected.add(edge.dest)
-    incoming: list[str] = []
     outgoing: list[str] = []
     for node in affected:
         if store.has_node(node):
-            outgoing.extend(
-                chunk_shingle(node_shingle(store, node, hops, pending, False), chunk_length)
-            )
-        incoming.extend(
-            chunk_shingle(node_shingle(store, node, hops, pending, True), chunk_length)
-        )
+            outgoing.extend(chunk_shingle(node_shingle(store, node, hops), chunk_length))
+    store.insert_prepared(pending)
+    incoming: list[str] = []
+    for node in affected:
+        incoming.extend(chunk_shingle(node_shingle(store, node, hops), chunk_length))
     return ChunkDelta.cancelled(incoming, outgoing)
 
 

@@ -21,7 +21,6 @@ which is a fixed, portable algorithm: a family is fully determined by
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Mapping
 
 import numpy as np
@@ -91,10 +90,6 @@ class HashFamily:
                 self._cache.clear()
             self._cache[chunk] = values
         return values
-
-
-def new_family(sketch_bits: int, max_chunk_len: int, seed: int) -> HashFamily:
-    return HashFamily.generate(sketch_bits, max_chunk_len, seed)
 
 
 _PLUS_ONE = np.int8(1)
@@ -186,17 +181,3 @@ def estimate_cosine(xa: np.ndarray, xb: np.ndarray) -> float:
 def cosine_distance(xa: np.ndarray, xb: np.ndarray) -> float:
     """1 - estimate_cosine; the distance used for clustering and scoring."""
     return 1.0 - estimate_cosine(xa, xb)
-
-
-def dump_projection(family: HashFamily, state: SketchState) -> str:
-    """Debug dump: sketch width, family seed, then the projection entries."""
-    lines = [str(family.sketch_bits), str(family.seed)]
-    lines.extend(str(int(v)) for v in state.projection)
-    return "\n".join(lines) + "\n"
-
-
-def vector_sum(a: Counter, b: Counter) -> Counter:
-    """Elementwise sum of two chunk-frequency vectors."""
-    total = Counter(a)
-    total.update(b)
-    return total

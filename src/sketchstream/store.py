@@ -2,11 +2,18 @@
 
 Nodes are keyed by ``(graph_id, node_id)``. Each node keeps its outgoing
 edges ordered by ``(timestamp, arrival_seq)`` and its incoming edges in
-arrival order. When the total number of resident edges would exceed the
-capacity, edges are evicted: pick the node whose most recent incident
-edge is oldest (ties broken by node key), drop that node's oldest
-incident edge, and repeat until back under capacity. Nodes left with no
-incident edges are forgotten entirely, including their type.
+arrival order.
+
+Adding an edge takes three steps: :meth:`GraphStore.prepare_edge`
+validates node types and assigns the arrival sequence,
+:meth:`GraphStore.insert_prepared` appends the edge, and
+:meth:`GraphStore.evict_to_capacity` evicts until the resident edge count
+is within capacity. Between the last two the store may hold one edge over
+its capacity; chunk deltas are read there (see ``shingles.edge_delta``).
+Eviction picks the node whose most recent incident edge is oldest (ties
+broken by node key), drops that node's oldest incident edge, and repeats
+until back under capacity. Nodes left with no incident edges are
+forgotten entirely, including their type.
 
 The store is single-writer: exactly one stream-processing context may
 mutate it, and a prepared edge must be inserted before the next edge is
@@ -17,8 +24,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
 
 from .records import EdgeRecord
 
@@ -57,13 +63,6 @@ class PendingEdge:
     edge: StoredEdge
     source_type: str
     dest_type: str
-
-
-@dataclass(slots=True)
-class InsertOutcome:
-    new_source: bool
-    new_dest: bool
-    evicted: list[StoredEdge] = field(default_factory=list)
 
 
 class _Node:
@@ -133,10 +132,6 @@ class GraphStore:
     def graph_nodes(self, graph_id: int) -> list[NodeKey]:
         return sorted(self._graphs.get(graph_id, ()))
 
-    def iter_edges(self) -> Iterator[StoredEdge]:
-        for entry in self._nodes.values():
-            yield from entry.out
-
     def reverse_reach(self, node: NodeKey, depth: int) -> set[NodeKey]:
         """All nodes with a directed path to ``node`` of length <= depth.
 
@@ -160,17 +155,6 @@ class GraphStore:
 
     # -- mutation --------------------------------------------------------
 
-    def add_node(self, node: NodeKey, node_type: str) -> bool:
-        """Register a node without edges; returns True if it was new."""
-        existing = self._nodes.get(node)
-        if existing is not None:
-            if existing.type != node_type:
-                raise NodeTypeConflictError(node, existing.type, node_type)
-            return False
-        self._nodes[node] = _Node(node_type, self._seq)
-        self._graphs.setdefault(node[0], set()).add(node)
-        return True
-
     def prepare_edge(self, rec: EdgeRecord) -> PendingEdge:
         """Validate type consistency and assign the next arrival sequence.
 
@@ -188,17 +172,24 @@ class GraphStore:
         edge = StoredEdge(source, dest, rec.edge_type, rec.timestamp, self._seq + 1)
         return PendingEdge(edge, rec.source_type, rec.dest_type)
 
-    def insert(self, rec: EdgeRecord) -> InsertOutcome:
-        return self.insert_prepared(self.prepare_edge(rec))
+    def insert(self, rec: EdgeRecord) -> list[StoredEdge]:
+        """Prepare, insert and evict in one call; returns the evicted edges."""
+        self.insert_prepared(self.prepare_edge(rec))
+        return self.evict_to_capacity()
 
-    def insert_prepared(self, pending: PendingEdge) -> InsertOutcome:
+    def insert_prepared(self, pending: PendingEdge) -> None:
+        """Append a prepared edge without evicting.
+
+        The store may then hold one edge over its capacity until
+        :meth:`evict_to_capacity` runs.
+        """
         edge = pending.edge
         if edge.arrival_seq != self._seq + 1:
             raise RuntimeError("stale prepared edge; prepare and insert must alternate")
         self._seq += 1
 
-        new_source = self._register(edge.source, pending.source_type)
-        new_dest = self._register(edge.dest, pending.dest_type)
+        self._register(edge.source, pending.source_type)
+        self._register(edge.dest, pending.dest_type)
 
         source_node = self._nodes[edge.source]
         out = source_node.out
@@ -213,21 +204,25 @@ class GraphStore:
             self._nodes[node].touched = edge.arrival_seq
             heapq.heappush(self._lru, (edge.arrival_seq, node))
 
+    def evict_to_capacity(self) -> list[StoredEdge]:
+        """Evict until the resident edge count is within capacity.
+
+        Returns the evicted edges in eviction order. ``peak_edges`` is
+        updated here, after evicting, so it never counts the transient
+        edge over capacity.
+        """
         evicted: list[StoredEdge] = []
         if self.capacity is not None:
             while self.total_edges > self.capacity:
                 evicted.append(self._evict_one())
         self.peak_edges = max(self.peak_edges, self.total_edges)
-        return InsertOutcome(new_source, new_dest, evicted)
+        return evicted
 
-    def _register(self, node: NodeKey, node_type: str) -> bool:
-        entry = self._nodes.get(node)
-        if entry is not None:
-            # prepare_edge already rejected conflicts.
-            return False
-        self._nodes[node] = _Node(node_type, self._seq)
-        self._graphs.setdefault(node[0], set()).add(node)
-        return True
+    def _register(self, node: NodeKey, node_type: str) -> None:
+        if node not in self._nodes:
+            # prepare_edge already rejected type conflicts.
+            self._nodes[node] = _Node(node_type, self._seq)
+            self._graphs.setdefault(node[0], set()).add(node)
 
     def _evict_one(self) -> StoredEdge:
         while self._lru:

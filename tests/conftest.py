@@ -38,9 +38,8 @@ def fold_stream(records, hops, chunk_length, family, capacity=None):
     store = GraphStore(capacity=capacity)
     states = {}
     for rec in records:
-        pending = store.prepare_edge(rec)
-        delta = edge_delta(store, pending, hops, chunk_length)
-        store.insert_prepared(pending)
+        delta = edge_delta(store, store.prepare_edge(rec), hops, chunk_length)
+        store.evict_to_capacity()
         state = states.setdefault(rec.graph_id, fresh_state(family.sketch_bits))
         apply_delta(state, family, delta)
     return store, states

@@ -16,6 +16,7 @@ import pytest
 from sketchstream import (
     GeneratorConfig,
     GraphStore,
+    HashFamily,
     RunConfig,
     apply_delta,
     batch_projection,
@@ -27,14 +28,12 @@ from sketchstream import (
     generate_dataset,
     generate_stream,
     merge,
-    new_family,
     run_bootstrap,
     run_stream,
     shingle_vector,
 )
 from sketchstream.clustering import ClusterModel, build_model
 from sketchstream.shingles import ChunkDelta
-from sketchstream.sketches import vector_sum
 
 DETECTION_SEEDS = tuple(range(10))
 LETTERS = string.ascii_letters
@@ -112,13 +111,11 @@ def test_criterion_01_incremental_batch_equivalence():
         assert len(records) <= 5000
         hops = 1 + seed % 3
         chunk_length = 3 + seed % 6
-        family = new_family(128, chunk_length, seed=seed + 400)
+        family = HashFamily.generate(128, chunk_length, seed=seed + 400)
         store = GraphStore()
         states = {}
         for rec in records:
-            pending = store.prepare_edge(rec)
-            delta = edge_delta(store, pending, hops, chunk_length)
-            store.insert_prepared(pending)
+            delta = edge_delta(store, store.prepare_edge(rec), hops, chunk_length)
             state = states.setdefault(rec.graph_id, fresh_state(128))
             apply_delta(state, family, delta)
         for graph_id in store.graph_ids():
@@ -141,7 +138,7 @@ def test_criterion_01_incremental_batch_equivalence():
 def test_criterion_02_similarity_preservation():
     started = time.perf_counter()
     rng = np.random.default_rng(321)
-    family = new_family(1000, 25, seed=11)
+    family = HashFamily.generate(1000, 25, seed=11)
 
     def random_pair():
         shared = 0 if rng.random() < 0.15 else int(rng.integers(20, 60))
@@ -180,7 +177,7 @@ def test_criterion_02_similarity_preservation():
 
 def test_criterion_03_family_uniformity_and_independence():
     rng = np.random.default_rng(20240817)
-    family = new_family(1000, 25, seed=99)
+    family = HashFamily.generate(1000, 25, seed=99)
     chunks = set()
     while len(chunks) < 10_000:
         chunks.add(random_chunk(rng))
@@ -192,7 +189,7 @@ def test_criterion_03_family_uniformity_and_independence():
     balance_ok = float(per_function.max()) <= 0.02
 
     # balance of each chunk over 10^4 functions
-    wide = new_family(10_000, 25, seed=100)
+    wide = HashFamily.generate(10_000, 25, seed=100)
     per_chunk = np.array(
         [abs((wide.hash_values(c) == 1).mean() - 0.5) for c in chunks[:200]]
     )
@@ -233,7 +230,7 @@ def test_criterion_03_family_uniformity_and_independence():
 
 def test_criterion_04_mergeability():
     rng = np.random.default_rng(4242)
-    family = new_family(256, 12, seed=8)
+    family = HashFamily.generate(256, 12, seed=8)
 
     def random_counts():
         return Counter(
@@ -247,7 +244,7 @@ def test_criterion_04_mergeability():
     for _ in range(100):
         z1, z2 = random_counts(), random_counts()
         merged = merge(batch_projection(z1, family), batch_projection(z2, family))
-        direct = batch_projection(vector_sum(z1, z2), family)
+        direct = batch_projection(z1 + z2, family)
         if np.array_equal(merged.projection, direct.projection):
             exact += 1
     _report(4, "sketch mergeability", exact == 100, f"{exact}/100 exact")
@@ -259,7 +256,7 @@ def test_criterion_04_mergeability():
 def test_criterion_05_centroid_mean_invariant():
     rng = np.random.default_rng(555)
     width = 64
-    family = new_family(width, 6, seed=9)
+    family = HashFamily.generate(width, 6, seed=9)
     base_centroids = rng.normal(size=(4, width)) * 3
     base_sizes = [5, 5, 5, 5]
     model = ClusterModel(family, 1, 6, base_centroids, base_sizes, [0.9] * 4)

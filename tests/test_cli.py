@@ -1,4 +1,5 @@
 from sketchstream.cli import main
+from sketchstream.engine import MODEL_HEADER
 
 
 def run_cli(*args):
@@ -55,6 +56,19 @@ def test_cli_reports_errors_to_stderr(tmp_path, capsys):
     )
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_reports_truncated_model_without_traceback(tmp_path, capsys):
+    model = tmp_path / "cut.model"
+    model.write_text(f"{MODEL_HEADER}\nsketch_bits 4\nchunk_length 2\nhops 1\nfamily_seed 0\n")
+    code = run_cli(
+        "stream", "--model", model, "-i", tmp_path / "test.tsv",
+        "--csv-out", tmp_path / "out.csv",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: model file line 6: ")
+    assert "Traceback" not in err
 
 
 def test_cli_rejects_bad_int_list(capsys):

@@ -11,12 +11,12 @@ from sketchstream import (
     ClusterModel,
     GeneratorConfig,
     GraphStore,
+    HashFamily,
     SketchState,
     bootstrap_model,
     fresh_state,
     generate_dataset,
     kmedoids,
-    new_family,
     pairwise_entropy,
     pick_chunk_length,
     select_chunk_length,
@@ -204,7 +204,7 @@ def test_threshold_of_identical_members_is_zero():
 
 def plus_family(width):
     # hashes every chunk of length 1 to +1; only used to build states
-    return new_family(width, 2, seed=123)
+    return HashFamily.generate(width, 2, seed=123)
 
 
 def state_with(projection):
@@ -214,7 +214,7 @@ def state_with(projection):
 
 
 def single_cluster_model(width=4, size=3, centroid=6.0, threshold=2.5):
-    family = new_family(width, 4, seed=1)
+    family = HashFamily.generate(width, 4, seed=1)
     centroids = np.full((1, width), float(centroid))
     return ClusterModel(family, 1, 4, centroids, [size], [threshold])
 
@@ -255,7 +255,7 @@ def test_attack_removal_from_current_cluster():
 
 
 def test_reassignment_moves_projection_mass_between_clusters():
-    family = new_family(4, 4, seed=1)
+    family = HashFamily.generate(4, 4, seed=1)
     centroids = np.array([[8.0, 8.0, -8.0, -8.0], [5.0, 5.0, 5.0, 5.0]])
     model = ClusterModel(family, 1, 4, centroids, [2, 3], [2.5, 2.5])
     model.assignments[9] = 0
@@ -270,7 +270,7 @@ def test_reassignment_moves_projection_mass_between_clusters():
 
 
 def test_removing_last_member_retires_the_cluster():
-    family = new_family(4, 4, seed=1)
+    family = HashFamily.generate(4, 4, seed=1)
     centroids = np.array([[8.0, 8.0, -8.0, -8.0], [5.0, 5.0, 5.0, 5.0]])
     model = ClusterModel(family, 1, 4, centroids, [1, 3], [2.5, 2.5])
     model.assignments[9] = 0
@@ -311,7 +311,7 @@ def test_ranking_sorts_by_score_then_graph_id():
 def test_nearest_choice_matches_raw_match_fraction(rng):
     # the argmin under the cosine transform equals the argmin under the
     # plain mismatch count (strictly monotone transform)
-    family = new_family(64, 4, seed=2)
+    family = HashFamily.generate(64, 4, seed=2)
     centroids = rng.normal(size=(5, 64))
     model = ClusterModel(family, 1, 4, centroids, [2] * 5, [0.5] * 5)
     for _ in range(50):
@@ -335,7 +335,7 @@ def test_flag_rule_is_monotone_in_distance():
 
 
 def test_centroid_tracks_member_mean_through_random_events(rng):
-    family = new_family(8, 4, seed=3)
+    family = HashFamily.generate(8, 4, seed=3)
     centroids = rng.normal(size=(3, 8)) * 4
     sizes = [4, 4, 4]
     model = ClusterModel(family, 1, 4, centroids, sizes, [0.8, 0.8, 0.8])

@@ -106,6 +106,42 @@ def test_load_model_rejects_garbage():
         load_model(io.StringIO("not a model\n"))
 
 
+@pytest.fixture(scope="module")
+def model_text():
+    model, _ = run_bootstrap(lines_of(small_dataset().train), small_config())
+    dump = io.StringIO()
+    save_model(model, dump)
+    return dump.getvalue()
+
+
+def test_truncated_model_file_raises_value_error(model_text):
+    lines = model_text.splitlines(keepends=True)
+    assert len(lines) == 6 + 2 * 2  # header, five fields, two clusters
+    for cut in range(len(lines)):
+        with pytest.raises(ValueError, match=rf"^model file line {cut + 1}: "):
+            load_model(io.StringIO("".join(lines[:cut])))
+
+
+@pytest.mark.parametrize(
+    "line_no,edit,named_line",
+    [
+        (2, lambda line: "sketch_bits x", 2),
+        (6, lambda line: "clusters 3", 11),
+        (7, lambda line: line.replace("cluster 0 ", "cluster 5 "), 7),
+        (8, lambda line: line.replace("cluster 1 ", "cluster 0 "), 8),
+        (10, lambda line: line.replace("projection 1 ", "projection 0 "), 10),
+        (10, lambda line: line.rsplit(" ", 1)[0], 10),
+        (10, lambda line: line + " 0.5", 10),
+        (10, lambda line: line + "\nprojection 1 0.5", 11),
+    ],
+)
+def test_corrupt_model_file_names_the_line(model_text, line_no, edit, named_line):
+    lines = model_text.splitlines()
+    lines[line_no - 1] = edit(lines[line_no - 1])
+    with pytest.raises(ValueError, match=rf"^model file line {named_line}: "):
+        load_model(io.StringIO("\n".join(lines) + "\n"))
+
+
 def test_stream_of_known_graph_scores_below_threshold():
     dataset = small_dataset()
     config = small_config()

@@ -39,8 +39,8 @@ def reference_shingle(store, start, hops):
 
 
 def test_isolated_node_shingle_is_its_type():
-    store = GraphStore()
-    store.add_node((0, 1), "a")
+    # node 1 only receives an edge, so it has nothing to traverse
+    store = build_store([edge(2, "b", 1, "a", 1)])
     assert node_shingle(store, (0, 1), 1) == "a"
 
 
@@ -161,9 +161,7 @@ def _delta_matches_batch_difference(records, hops, length):
     store = GraphStore()
     for rec in records:
         before = shingle_vector(store, rec.graph_id, hops, length)
-        pending = store.prepare_edge(rec)
-        delta = edge_delta(store, pending, hops, length)
-        store.insert_prepared(pending)
+        delta = edge_delta(store, store.prepare_edge(rec), hops, length)
         after = shingle_vector(store, rec.graph_id, hops, length)
         gained = after.copy()
         gained.subtract(before)
@@ -200,23 +198,11 @@ def test_delta_equals_batch_difference_on_generated_streams(hops, length):
     _delta_matches_batch_difference(records, hops, length)
 
 
-def test_pending_edge_ignored_when_not_included(rng):
-    records = [edge(int(rng.integers(0, 6)), "t", int(rng.integers(0, 6)), "t", i + 1)
-               for i in range(25)]
-    store = build_store(records)
-    pending = store.prepare_edge(edge(2, "t", 5, "t", 26, "P"))
-    for g in store.graph_ids():
-        for v in store.graph_nodes(g):
-            with_ignored = node_shingle(store, v, 2, pending, include_pending=False)
-            plain = node_shingle(store, v, 2)
-            assert with_ignored == plain
-
-
 def test_shingle_vector_cases():
     store = GraphStore()
     assert shingle_vector(store, 0, 1, 5) == Counter()
-    store.add_node((0, 1), "a")
-    assert shingle_vector(store, 0, 1, 5) == Counter({"a": 1})
+    store.insert(edge(2, "b", 1, "a", 1, "x"))
+    assert shingle_vector(store, 0, 1, 5) == Counter({"a": 1, "bxa": 1})
     # isomorphic graphs in different graph ids have identical vectors
     for gid in (1, 2):
         store.insert(edge(1, "a", 2, "b", 1, "x", graph_id=gid))

@@ -8,12 +8,13 @@ from conftest import edge, build_store
 
 def test_insert_under_capacity_reports_new_nodes():
     store = GraphStore(capacity=10)
-    outcome = store.insert(edge(1, "a", 2, "b", 1))
-    assert outcome.new_source and outcome.new_dest
-    assert outcome.evicted == []
+    assert not store.has_node((0, 1)) and not store.has_node((0, 2))
+    assert store.insert(edge(1, "a", 2, "b", 1)) == []
+    assert store.has_node((0, 1)) and store.has_node((0, 2))
     assert store.total_edges == 1
-    outcome = store.insert(edge(1, "a", 3, "c", 2))
-    assert not outcome.new_source and outcome.new_dest
+    assert not store.has_node((0, 3))
+    assert store.insert(edge(1, "a", 3, "c", 2)) == []
+    assert store.has_node((0, 3))
 
 
 def test_eviction_picks_oldest_edge_of_least_recently_touched_node():
@@ -22,9 +23,9 @@ def test_eviction_picks_oldest_edge_of_least_recently_touched_node():
     store = GraphStore(capacity=2)
     store.insert(edge(0, "a", 1, "b", 1))  # a -> b
     store.insert(edge(2, "c", 3, "d", 2))  # c -> d
-    outcome = store.insert(edge(0, "a", 3, "d", 3))  # a -> d
-    assert len(outcome.evicted) == 1
-    evicted = outcome.evicted[0]
+    evicted_edges = store.insert(edge(0, "a", 3, "d", 3))  # a -> d
+    assert len(evicted_edges) == 1
+    evicted = evicted_edges[0]
     assert evicted.source == (0, 0) and evicted.dest == (0, 1)
     assert store.total_edges == 2
     assert not store.has_node((0, 1))  # b had no other edges; dropped
@@ -157,13 +158,13 @@ def test_eviction_victim_has_globally_minimal_touch(rng):
             if store.out_edges(node) or store.in_edges(node)
         }
         fresh = 10**9
-        outcome = store.insert(edge(u, "t", v, "t", timestamp))
-        if not outcome.evicted:
+        evicted_edges = store.insert(edge(u, "t", v, "t", timestamp))
+        if not evicted_edges:
             continue
-        assert len(outcome.evicted) == 1  # one insert adds one edge
+        assert len(evicted_edges) == 1  # one insert adds one edge
         touches[(0, u)] = fresh
         touches[(0, v)] = fresh
-        evicted = outcome.evicted[0]
+        evicted = evicted_edges[0]
         min_touch = min(touches.values())
         assert min(touches[owner] for owner in {evicted.source, evicted.dest}) == min_touch
 
@@ -179,13 +180,18 @@ def test_node_forgotten_after_losing_all_edges():
     assert store.node_type((0, 1)) == "q"
 
 
-def test_add_node_registers_bare_node():
-    store = GraphStore()
-    assert store.add_node((0, 7), "a") is True
-    assert store.add_node((0, 7), "a") is False
-    with pytest.raises(NodeTypeConflictError):
-        store.add_node((0, 7), "b")
-    assert store.graph_nodes(0) == [(0, 7)]
+def test_eviction_waits_for_evict_to_capacity():
+    store = GraphStore(capacity=1)
+    store.insert(edge(1, "a", 2, "b", 1))
+    store.insert_prepared(store.prepare_edge(edge(3, "c", 4, "d", 2)))
+    # both edges stay readable until the caller evicts
+    assert store.total_edges == 2
+    assert store.has_node((0, 1)) and store.has_node((0, 4))
+    assert store.peak_edges == 1
+    evicted = store.evict_to_capacity()
+    assert [(e.source, e.dest) for e in evicted] == [((0, 1), (0, 2))]
+    assert store.total_edges == 1 and store.peak_edges == 1
+    assert store.evict_to_capacity() == []
 
 
 def test_stale_prepared_edge_is_rejected():
