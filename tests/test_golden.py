@@ -1,9 +1,10 @@
 """Byte-for-byte goldens of model files and snapshot CSVs.
 
 Each case bootstraps a model from a fixed generated dataset, then streams
-the test edges twice against it: once with unbounded memory and once with
+the test edges four times against it: with unbounded memory and with
 resident edges capped at a tenth of the test stream, so that eviction
-runs. The committed files under ``tests/golden/`` define the pipeline's
+runs, each once tracking every graph and once tracking at most
+``TRACKED`` graphs, so that the least recently active graphs are dropped. The committed files under ``tests/golden/`` define the pipeline's
 behaviour; a refactor must reproduce them exactly.
 
 Regenerate them only for a change that is meant to alter outputs:
@@ -33,6 +34,7 @@ from sketchstream import (
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 CASES = [(7, 1), (8, 2)]  # (seed, hops)
+TRACKED = 8  # max_tracked_graphs of the tracked runs; the interleave width is 5
 
 
 def golden_outputs(seed: int, hops: int) -> dict[str, str]:
@@ -64,12 +66,19 @@ def golden_outputs(seed: int, hops: int) -> dict[str, str]:
     prefix = f"seed{seed}-hops{hops}"
     outputs = {f"{prefix}.model": model_file.getvalue()}
     test_lines = [format_edge(r) for r in dataset.test]
-    for name, cap in (("unbounded", None), ("bounded", len(test_lines) // 10)):
+    bound = len(test_lines) // 10
+    runs = (
+        ("unbounded", None, None),
+        ("bounded", bound, None),
+        ("tracked", None, TRACKED),
+        ("bounded-tracked", bound, TRACKED),
+    )
+    for name, cap, tracked in runs:
         csv = io.StringIO()
         run_stream(
             load_model(io.StringIO(outputs[f"{prefix}.model"])),
             test_lines,
-            replace(config, max_edges=cap),
+            replace(config, max_edges=cap, max_tracked_graphs=tracked),
             labels=dataset.labels,
             csv_fp=csv,
         )
