@@ -17,7 +17,6 @@ from .clustering import (
     kmedoids,
     pairwise_entropy,
     pick_chunk_length,
-    select_chunk_length,
     silhouette,
 )
 from .engine import (

@@ -95,22 +95,6 @@ def pick_chunk_length(entropies: Mapping[int, float]) -> int:
     return min(larger) if larger else best
 
 
-def select_chunk_length(
-    vectors_by_length: Mapping[int, Sequence[Counter]],
-    bins: int = DEFAULT_ENTROPY_BINS,
-) -> int:
-    if len(vectors_by_length) < 2:
-        raise ValueError("need at least two candidate chunk lengths")
-    sizes = {len(v) for v in vectors_by_length.values()}
-    if len(sizes) != 1 or min(sizes) < 2:
-        raise ValueError("need the same >= 2 training graphs at every candidate")
-    distances_by_length = {
-        length: pairwise_distance_matrix(vectors)
-        for length, vectors in sorted(vectors_by_length.items())
-    }
-    return pick_chunk_length(chunk_length_entropies(distances_by_length, bins))
-
-
 def kmedoids(
     distances: np.ndarray, n_clusters: int, seed: int
 ) -> tuple[list[int], np.ndarray]:

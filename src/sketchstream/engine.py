@@ -10,12 +10,15 @@ interval`` edges and once at stream end.
 Evicted edges never roll sketches back: a graph's projection accumulates
 over everything it has seen, while deltas for later edges are computed on
 the retained adjacency only. Detection state (sketch, assignment, score)
-outlives a graph's edges, up to an optional cap on tracked graphs.
+outlives a graph's edges. An optional cap on tracked graphs drops the
+least recently active graph, its detection state and its stored edges
+together, so a graph that comes back starts from nothing.
 """
 
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Sequence
@@ -233,8 +236,7 @@ def run_stream(
         {g for g, label in labels.items() if label == LABEL_ANOMALY} if labels else None
     )
     store = GraphStore(capacity=config.max_edges)
-    states: dict[int, SketchState] = {}
-    last_active: dict[int, int] = {}
+    states: OrderedDict[int, SketchState] = OrderedDict()  # least recently active first
     snapshots: list[SnapshotRecord] = []
     if csv_fp is not None:
         csv_fp.write("edges_processed,graph_id,score,assignment,ap,auc\n")
@@ -254,14 +256,17 @@ def run_stream(
         state = states.get(graph_id)
         if state is None:
             state = states[graph_id] = fresh_state(family.sketch_bits)
+        else:
+            states.move_to_end(graph_id)
         old_state = state.copy()
         apply_delta(state, family, delta)
         model.update_graph(graph_id, old_state, state)
 
         edges += 1
-        last_active[graph_id] = edges
         if config.max_tracked_graphs is not None and len(states) > config.max_tracked_graphs:
-            _drop_oldest_tracked(model, states, last_active)
+            victim, victim_state = states.popitem(last=False)
+            model.forget_graph(victim, victim_state.projection)
+            store.drop_graph(victim)
         if edges % config.snapshot_interval == 0:
             snapshots.append(_snapshot(model, edges, positives, csv_fp))
     if edges == 0 or edges % config.snapshot_interval != 0:
@@ -286,15 +291,6 @@ def _iter_records(stream: Iterable[str] | str | Path) -> Iterable[EdgeRecord]:
             yield from read_stream(fp)
     else:
         yield from read_stream(stream)
-
-
-def _drop_oldest_tracked(
-    model: ClusterModel, states: dict[int, SketchState], last_active: dict[int, int]
-) -> None:
-    victim = min(last_active, key=lambda g: (last_active[g], g))
-    model.forget_graph(victim, states[victim].projection)
-    del states[victim]
-    del last_active[victim]
 
 
 def _snapshot(

@@ -21,13 +21,11 @@ only what its own edge changed and eviction never rolls a sketch back.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
 from .store import GraphStore, NodeKey, PendingEdge
-
-ShingleVector = Counter  # chunk -> frequency; zero counts are never stored
 
 
 def node_shingle(store: GraphStore, node: NodeKey, hops: int) -> str:
@@ -38,25 +36,20 @@ def node_shingle(store: GraphStore, node: NodeKey, hops: int) -> str:
     node_type = type_of(node)
     if node_type is None:
         raise KeyError(f"unknown node {node}")
-    if hops == 1:
-        parts = [node_type]
-        for edge in store.out_edges(node):
-            parts.append(edge.edge_type)
-            parts.append(type_of(edge.dest))
-        return "".join(parts)
-
     parts = [node_type]
     expanded: set[NodeKey] = set()
-    queue: deque[tuple[NodeKey, int]] = deque([(node, 0)])
-    while queue:
-        current, depth = queue.popleft()
-        if depth >= hops or current in expanded:
-            continue
-        expanded.add(current)
-        for edge in store.out_edges(current):
-            parts.append(edge.edge_type)
-            parts.append(type_of(edge.dest))
-            queue.append((edge.dest, depth + 1))
+    frontier = [node]
+    for _ in range(hops):
+        next_frontier = []
+        for current in frontier:
+            if current in expanded:
+                continue
+            expanded.add(current)
+            for edge in store.out_edges(current):
+                parts.append(edge.edge_type)
+                parts.append(type_of(edge.dest))
+                next_frontier.append(edge.dest)
+        frontier = next_frontier
     return "".join(parts)
 
 

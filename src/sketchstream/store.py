@@ -10,10 +10,14 @@ validates node types and assigns the arrival sequence,
 :meth:`GraphStore.evict_to_capacity` evicts until the resident edge count
 is within capacity. Between the last two the store may hold one edge over
 its capacity; chunk deltas are read there (see ``shingles.edge_delta``).
-Eviction picks the node whose most recent incident edge is oldest (ties
-broken by node key), drops that node's oldest incident edge, and repeats
-until back under capacity. Nodes left with no incident edges are
-forgotten entirely, including their type.
+
+Nodes are kept in recency order: inserting an edge moves both endpoints
+to the back, the smaller key first. Eviction takes the node at the front,
+whose most recent incident edge is oldest (ties broken by node key),
+drops that node's oldest incident edge, and repeats until back under
+capacity. Nodes left with no incident edges are forgotten entirely,
+including their type. :meth:`GraphStore.drop_graph` forgets a whole graph
+at once.
 
 The store is single-writer: exactly one stream-processing context may
 mutate it, and a prepared edge must be inserted before the next edge is
@@ -22,8 +26,8 @@ prepared.
 
 from __future__ import annotations
 
-import heapq
 from bisect import insort
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from .records import EdgeRecord
@@ -66,13 +70,12 @@ class PendingEdge:
 
 
 class _Node:
-    __slots__ = ("type", "out", "inc", "touched")
+    __slots__ = ("type", "out", "inc")
 
-    def __init__(self, node_type: str, touched: int):
+    def __init__(self, node_type: str):
         self.type = node_type
         self.out: list[StoredEdge] = []
         self.inc: list[StoredEdge] = []
-        self.touched = touched
 
 
 _EMPTY: list[StoredEdge] = []
@@ -90,12 +93,10 @@ class GraphStore:
         self.capacity = capacity
         self.total_edges = 0
         self.peak_edges = 0
-        self._nodes: dict[NodeKey, _Node] = {}
+        # Least recently used first.
+        self._nodes: OrderedDict[NodeKey, _Node] = OrderedDict()
         self._graphs: dict[int, set[NodeKey]] = {}
         self._seq = 0
-        # Lazy-deletion min-heap of (touched, node key); stale entries are
-        # skipped when popped.
-        self._lru: list[tuple[int, NodeKey]] = []
 
     # -- queries ---------------------------------------------------------
 
@@ -108,10 +109,6 @@ class GraphStore:
     def node_type(self, node: NodeKey) -> str | None:
         entry = self._nodes.get(node)
         return entry.type if entry is not None else None
-
-    def last_touched(self, node: NodeKey) -> int | None:
-        entry = self._nodes.get(node)
-        return entry.touched if entry is not None else None
 
     def out_edges(self, node: NodeKey) -> list[StoredEdge]:
         """Outgoing edges in ``(timestamp, arrival_seq)`` order.
@@ -200,9 +197,9 @@ class GraphStore:
         self._nodes[edge.dest].inc.append(edge)
         self.total_edges += 1
 
-        for node in (edge.source, edge.dest):
-            self._nodes[node].touched = edge.arrival_seq
-            heapq.heappush(self._lru, (edge.arrival_seq, node))
+        first, second = sorted((edge.source, edge.dest))
+        self._nodes.move_to_end(first)
+        self._nodes.move_to_end(second)
 
     def evict_to_capacity(self) -> list[StoredEdge]:
         """Evict until the resident edge count is within capacity.
@@ -218,30 +215,24 @@ class GraphStore:
         self.peak_edges = max(self.peak_edges, self.total_edges)
         return evicted
 
+    def drop_graph(self, graph_id: int) -> None:
+        """Forget every node and edge of one graph; edges never cross graphs."""
+        for node in self._graphs.pop(graph_id, ()):
+            self.total_edges -= len(self._nodes.pop(node).out)
+
     def _register(self, node: NodeKey, node_type: str) -> None:
         if node not in self._nodes:
             # prepare_edge already rejected type conflicts.
-            self._nodes[node] = _Node(node_type, self._seq)
+            self._nodes[node] = _Node(node_type)
             self._graphs.setdefault(node[0], set()).add(node)
 
     def _evict_one(self) -> StoredEdge:
-        while self._lru:
-            touched, key = heapq.heappop(self._lru)
-            entry = self._nodes.get(key)
-            if entry is None or entry.touched != touched:
-                continue
-            if not entry.out and not entry.inc:
-                continue
-            victim = min(
-                entry.out + entry.inc if entry.out and entry.inc
-                else (entry.out or entry.inc),
-                key=lambda e: e.arrival_seq,
-            )
-            self._remove_edge(victim)
-            if key in self._nodes:
-                heapq.heappush(self._lru, (touched, key))
-            return victim
-        raise RuntimeError("eviction requested but no node holds edges")
+        # Every stored node holds an edge. In-edges are in arrival order,
+        # so the first is the oldest; out-edges are in timestamp order.
+        entry = next(iter(self._nodes.values()))
+        victim = min(entry.out + entry.inc[:1], key=lambda e: e.arrival_seq)
+        self._remove_edge(victim)
+        return victim
 
     def _remove_edge(self, edge: StoredEdge) -> None:
         self._nodes[edge.source].out.remove(edge)

@@ -19,10 +19,13 @@ from sketchstream import (
     kmedoids,
     pairwise_entropy,
     pick_chunk_length,
-    select_chunk_length,
     silhouette,
 )
-from sketchstream.clustering import anomaly_threshold
+from sketchstream.clustering import (
+    anomaly_threshold,
+    chunk_length_entropies,
+    pairwise_distance_matrix,
+)
 from sketchstream.generator import LABEL_NORMAL
 
 
@@ -67,10 +70,11 @@ def test_select_chunk_length_end_to_end():
     # two graph populations: tight at length 2, spread at length 1
     spiky = [Counter({"ab": 5, "cd": 5}), Counter({"ab": 5, "cd": 5})]
     vectors = {1: [Counter({"a": 3}), Counter({"b": 3})], 2: spiky}
-    choice = select_chunk_length(vectors, bins=4)
+    matrices = {length: pairwise_distance_matrix(v) for length, v in vectors.items()}
+    choice = pick_chunk_length(chunk_length_entropies(matrices, bins=4))
     assert choice in vectors
     with pytest.raises(ValueError):
-        select_chunk_length({1: spiky}, bins=4)
+        pick_chunk_length(chunk_length_entropies({1: matrices[2]}, bins=4))
 
 
 # -- k-medoids ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 import io
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from sketchstream import (
 )
 from sketchstream.clustering import UNASSIGNED
 from sketchstream.engine import report_text
+
+from test_golden import CASES, golden_config, golden_dataset
 
 
 def small_dataset(seed=5, **overrides):
@@ -256,6 +259,22 @@ def test_tracked_graph_cap_drops_oldest_state():
     # centroid sizes stay consistent: every assigned graph is still tracked
     assigned = [g for g, a in result.model.assignments.items() if isinstance(a, int)]
     assert set(assigned) <= set(result.states)
+
+
+@pytest.mark.parametrize("seed,hops", CASES)
+def test_dropped_graph_leaves_store_and_sketch_consistent(seed, hops):
+    # Three tracked graphs against an interleave width of five: graphs are
+    # dropped while still live and come back on their next edge.
+    dataset = golden_dataset(seed)
+    config = replace(golden_config(seed, hops), max_tracked_graphs=3)
+    model, _ = run_bootstrap(lines_of(dataset.train), config)
+    result = run_stream(model, lines_of(dataset.test), config)
+    assert len(result.states) == 3
+    assert set(result.store.graph_ids()) <= set(result.states)
+    for graph_id, state in result.states.items():
+        vector = shingle_vector(result.store, graph_id, model.hops, model.chunk_length)
+        expected = batch_projection(vector, model.family).projection
+        assert np.array_equal(state.projection, expected), f"graph {graph_id}"
 
 
 def test_parse_errors_carry_line_numbers_through_the_engine():

@@ -37,9 +37,8 @@ CASES = [(7, 1), (8, 2)]  # (seed, hops)
 TRACKED = 8  # max_tracked_graphs of the tracked runs; the interleave width is 5
 
 
-def golden_outputs(seed: int, hops: int) -> dict[str, str]:
-    """File name -> text of one case's model file and snapshot CSVs."""
-    dataset = generate_dataset(
+def golden_dataset(seed: int):
+    return generate_dataset(
         GeneratorConfig(
             num_behavior_classes=2,
             graphs_per_class=20,
@@ -52,7 +51,10 @@ def golden_outputs(seed: int, hops: int) -> dict[str, str]:
         ),
         train_fraction=0.75,
     )
-    config = RunConfig(
+
+
+def golden_config(seed: int, hops: int) -> RunConfig:
+    return RunConfig(
         hops=hops,
         sketch_bits=100,
         candidate_chunk_lengths=(8, 16, 32),
@@ -60,6 +62,12 @@ def golden_outputs(seed: int, hops: int) -> dict[str, str]:
         cluster_seed=seed + 1000,
         family_seed=seed + 2000,
     )
+
+
+def golden_outputs(seed: int, hops: int) -> dict[str, str]:
+    """File name -> text of one case's model file and snapshot CSVs."""
+    dataset = golden_dataset(seed)
+    config = golden_config(seed, hops)
     model, _ = run_bootstrap([format_edge(r) for r in dataset.train], config)
     model_file = io.StringIO()
     save_model(model, model_file)

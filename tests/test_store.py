@@ -144,29 +144,88 @@ def test_capacity_bound_holds_under_random_inserts(rng):
 
 def test_eviction_victim_has_globally_minimal_touch(rng):
     store = GraphStore(capacity=8)
-    timestamp = 0
-    for i in range(120):
-        timestamp += 1
+    last_touch = {}
+    for seq in range(1, 121):
         u = int(rng.integers(0, 12))
         v = int(rng.integers(0, 12))
-        # candidate touches as they stand the moment eviction runs: nodes
-        # holding edges, with the new edge's endpoints freshly touched
-        touches = {
-            node: store.last_touched(node)
-            for g in store.graph_ids()
-            for node in store.graph_nodes(g)
-            if store.out_edges(node) or store.in_edges(node)
-        }
-        fresh = 10**9
-        evicted_edges = store.insert(edge(u, "t", v, "t", timestamp))
+        evicted_edges = store.insert(edge(u, "t", v, "t", seq))
+        last_touch[(0, u)] = last_touch[(0, v)] = seq
         if not evicted_edges:
             continue
         assert len(evicted_edges) == 1  # one insert adds one edge
-        touches[(0, u)] = fresh
-        touches[(0, v)] = fresh
         evicted = evicted_edges[0]
-        min_touch = min(touches.values())
-        assert min(touches[owner] for owner in {evicted.source, evicted.dest}) == min_touch
+        # nodes holding edges the moment eviction ran: those still stored
+        # plus the evicted edge's endpoints, which it may have forgotten
+        candidates = {node for g in store.graph_ids() for node in store.graph_nodes(g)}
+        candidates |= {evicted.source, evicted.dest}
+        min_touch = min(last_touch[node] for node in candidates)
+        assert min(last_touch[owner] for owner in {evicted.source, evicted.dest}) == min_touch
+
+
+class ReferenceStore:
+    """Naive eviction oracle: a list of edges plus each node's last touch."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.edges = []  # (arrival_seq, source, dest), in arrival order
+        self.last_touch = {}
+        self.seq = 0
+
+    def insert(self, source, dest):
+        self.seq += 1
+        self.edges.append((self.seq, source, dest))
+        self.last_touch[source] = self.last_touch[dest] = self.seq
+        evicted = []
+        while len(self.edges) > self.capacity:
+            holders = {node for _, s, d in self.edges for node in (s, d)}
+            node = min(holders, key=lambda n: (self.last_touch[n], n))
+            victim = next(e for e in self.edges if node in e[1:])
+            self.edges.remove(victim)
+            evicted.append(victim)
+        return evicted
+
+    def drop_graph(self, graph_id):
+        self.edges = [e for e in self.edges if e[1][0] != graph_id]
+
+
+def test_eviction_matches_reference_store(rng):
+    capacity = 12
+    store = GraphStore(capacity=capacity)
+    reference = ReferenceStore(capacity)
+    for seq in range(1, 1501):
+        if rng.random() < 0.01:
+            graph = int(rng.integers(0, 3))
+            store.drop_graph(graph)
+            reference.drop_graph(graph)
+            assert store.total_edges == len(reference.edges)
+            assert graph not in store.graph_ids()
+            continue
+        graph = int(rng.integers(0, 3))
+        # few ids: self-loops, dest keys below source keys and ids that
+        # come back after being forgotten all occur; out-of-order
+        # timestamps keep out-lists away from arrival order
+        u = int(rng.integers(0, 8))
+        v = int(rng.integers(0, 8))
+        rec = edge(u, "abc"[u % 3], v, "abc"[v % 3], int(rng.integers(0, 50)), graph_id=graph)
+        got = [(e.arrival_seq, e.source, e.dest) for e in store.insert(rec)]
+        assert got == reference.insert((graph, u), (graph, v))
+        assert store.total_edges == len(reference.edges)
+
+
+def test_drop_graph_forgets_its_nodes_and_edges():
+    store = GraphStore()
+    store.insert(edge(1, "a", 2, "b", 1))
+    store.insert(edge(2, "b", 1, "a", 2))
+    store.insert(edge(1, "a", 2, "b", 1, graph_id=1))
+    store.drop_graph(0)
+    assert store.total_edges == 1 and store.graph_ids() == [1]
+    assert not store.has_node((0, 1)) and not store.has_node((0, 2))
+    assert store.out_edges((1, 1))[0].dest == (1, 2)
+    store.drop_graph(0)  # unknown graphs are ignored
+    assert store.total_edges == 1
+    # the id comes back with a brand-new type
+    store.insert(edge(1, "q", 2, "b", 3))
+    assert store.node_type((0, 1)) == "q"
 
 
 def test_node_forgotten_after_losing_all_edges():
