@@ -137,7 +137,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         result = run_stream(model, args.input, config, labels=labels, csv_fp=csv_fp)
     print(
         f"processed {result.edges_processed} edges in {result.elapsed_seconds:.2f}s "
-        f"({result.edges_per_second:.0f} edges/sec), peak resident edges {result.peak_edges}"
+        f"({result.edges_per_second:.0f} edges/sec), peak resident edges {result.peak_edges}, "
+        f"dropped graphs {result.dropped_graphs}"
     )
     return 0
 

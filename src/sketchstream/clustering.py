@@ -8,12 +8,13 @@ threshold of mean plus three standard deviations of the member-to-centroid
 sketch distances (a one-sided tail bound caps the false-positive rate at
 10%).
 
-In streaming mode every sketch update re-evaluates its graph against the
-nearest centroid: close enough means the graph (re)joins that cluster and
-the centroid mean is adjusted incrementally; too far means the graph is
-pulled out of its cluster and marked as attack. Centroid projections are
-kept as real-valued running means because the incremental updates divide
-by cluster sizes.
+In streaming mode the model keeps each tracked graph's latest sketch
+state, so it can take out of a mean exactly what it folded in. Every
+update re-evaluates its graph against the nearest centroid: close enough
+means the graph (re)joins that cluster and the centroid mean is adjusted
+incrementally; too far means the graph is pulled out of its cluster and
+marked as attack. Centroid projections are kept as real-valued running
+means because the incremental updates divide by cluster sizes.
 """
 
 from __future__ import annotations
@@ -219,6 +220,12 @@ class ClusterModel:
         self.live = self.sizes > 0
         if not (len(self.sizes) == len(self.thresholds) == centroids.shape[0]):
             raise ValueError("centroids, sizes and thresholds must align")
+        # Estimated cosine distance for each count of matching sketch bits,
+        # bit-identical to evaluating the formula on the counts themselves.
+        matches = np.arange(family.sketch_bits + 1) / family.sketch_bits
+        self._distance_of_matches = 1.0 - np.cos(np.pi * (1.0 - matches))
+        # Latest state per tracked graph, least recently updated first.
+        self.states: dict[int, SketchState] = {}
         self.assignments: dict[int, int | str] = {}
         self.scores: dict[int, float] = {}
 
@@ -232,22 +239,17 @@ class ClusterModel:
 
     def distances_to(self, sketch: np.ndarray) -> np.ndarray:
         """Estimated cosine distance to every centroid; retired ones are inf."""
-        matches = (self.sketches == sketch).sum(axis=1) / self.sketch_bits
-        distances = 1.0 - np.cos(np.pi * (1.0 - matches))
+        distances = self._distance_of_matches[(self.sketches == sketch).sum(axis=1)]
         distances[~self.live] = np.inf
         return distances
 
-    def update_graph(
-        self, graph_id: int, old_state: SketchState, new_state: SketchState
-    ) -> AnomalyEvent:
-        """Re-evaluate a graph against the clustering after one sketch update.
-
-        ``old_state`` must be the graph's state before the triggering edge;
-        it is what the graph's current cluster has folded into its mean.
-        """
-        sketch = new_state.sketch
+    def update_graph(self, graph_id: int, state: SketchState) -> AnomalyEvent:
+        """Record a graph's new state and re-evaluate it against the clustering."""
+        old_state = self.states.pop(graph_id, None)
+        self.states[graph_id] = state
+        sketch = state.sketch
         distances = self.distances_to(sketch)
-        nearest = int(np.argmin(distances))
+        nearest = int(distances.argmin())
         distance = float(distances[nearest])
         previous = self.assignments.get(graph_id, UNASSIGNED)
         flagged = distance > self.thresholds[nearest]
@@ -258,13 +260,13 @@ class ClusterModel:
             self.assignments[graph_id] = ATTACK
         elif previous == nearest:
             self.centroids[nearest] += (
-                new_state.projection - old_state.projection
+                state.projection - old_state.projection
             ) / self.sizes[nearest]
             self._resign(nearest)
         else:
             if isinstance(previous, int):
                 self._remove(previous, old_state.projection)
-            self._add(nearest, new_state.projection)
+            self._add(nearest, state.projection)
             self.assignments[graph_id] = nearest
 
         score = self._score_against(nearest, sketch, distance)
@@ -275,16 +277,12 @@ class ClusterModel:
         """Scored graphs, highest score first; ties by lower graph id."""
         return sorted(self.scores.items(), key=lambda item: (-item[1], item[0]))
 
-    def forget_graph(self, graph_id: int, projection: np.ndarray) -> None:
-        """Drop a graph's detection state, unfolding it from its cluster.
-
-        ``projection`` must be the graph's latest folded projection so the
-        centroid stays the mean of its remaining members.
-        """
-        assignment = self.assignments.get(graph_id, UNASSIGNED)
+    def forget_graph(self, graph_id: int) -> None:
+        """Drop a graph's detection state, unfolding it from its cluster."""
+        state = self.states.pop(graph_id, None)
+        assignment = self.assignments.pop(graph_id, UNASSIGNED)
         if isinstance(assignment, int):
-            self._remove(assignment, projection)
-        self.assignments.pop(graph_id, None)
+            self._remove(assignment, state.projection)
         self.scores.pop(graph_id, None)
 
     # -- centroid maintenance ---------------------------------------------
@@ -370,7 +368,8 @@ def _assemble_model(
     chunk_length: int,
     n_clusters: int,
 ) -> ClusterModel:
-    projections = np.stack([batch_projection(v, family).projection for v in vectors])
+    states = [batch_projection(v, family) for v in vectors]
+    projections = np.stack([state.projection for state in states])
     centroids = np.zeros((n_clusters, family.sketch_bits), dtype=np.float64)
     sizes = np.zeros(n_clusters, dtype=np.int64)
     thresholds = np.zeros(n_clusters, dtype=np.float64)
@@ -382,7 +381,7 @@ def _assemble_model(
         centroids[cluster] = projections[members].mean(axis=0)
         centroid_sketch = sign_bits(centroids[cluster])
         member_distances = [
-            cosine_distance(sign_bits(projections[m]), centroid_sketch) for m in members
+            cosine_distance(states[m].sketch, centroid_sketch) for m in members
         ]
         thresholds[cluster] = anomaly_threshold(member_distances)
     return ClusterModel(family, hops, chunk_length, centroids, sizes, thresholds)
@@ -398,7 +397,6 @@ def bootstrap_model(
     sketch_bits: int,
     cluster_seed: int,
     family_seed: int,
-    entropy_bins: int = DEFAULT_ENTROPY_BINS,
 ) -> tuple[ClusterModel, BootstrapReport]:
     """Full bootstrap: chunk-length selection, cluster-count selection, model.
 
@@ -420,7 +418,7 @@ def bootstrap_model(
         length: pairwise_distance_matrix(vectors)
         for length, vectors in vectors_by_length.items()
     }
-    entropies = chunk_length_entropies(distances_by_length, entropy_bins)
+    entropies = chunk_length_entropies(distances_by_length)
     chunk_length = pick_chunk_length(entropies)
     vectors = vectors_by_length[chunk_length]
     distances = distances_by_length[chunk_length]

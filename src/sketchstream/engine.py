@@ -10,16 +10,17 @@ interval`` edges and once at stream end.
 Evicted edges never roll sketches back: a graph's projection accumulates
 over everything it has seen, while deltas for later edges are computed on
 the retained adjacency only. Detection state (sketch, assignment, score)
-outlives a graph's edges. An optional cap on tracked graphs drops the
-least recently active graph, its detection state and its stored edges
-together, so a graph that comes back starts from nothing.
+lives in the cluster model and outlives a graph's edges. An optional cap
+on tracked graphs drops the least recently updated graph, its detection
+state and its stored edges together, so a graph that comes back starts
+from nothing.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
@@ -49,7 +50,6 @@ class RunConfig:
     cluster_seed: int = 0
     family_seed: int = 1
     max_tracked_graphs: int | None = None
-    entropy_bins: int = 10
 
     def __post_init__(self) -> None:
         if self.hops < 1:
@@ -80,8 +80,13 @@ class StreamResult:
     edges_per_second: float
     peak_edges: int
     model: ClusterModel
-    states: dict[int, SketchState] = field(default_factory=dict)
-    store: GraphStore | None = None
+    store: GraphStore
+    dropped_graphs: int  # graphs dropped by the tracked-graph cap
+
+    @property
+    def states(self) -> dict[int, SketchState]:
+        """Latest sketch state of every tracked graph (the model's own map)."""
+        return self.model.states
 
 
 # -- model file ------------------------------------------------------------
@@ -113,7 +118,7 @@ def load_model(fp: IO[str]) -> ClusterModel:
     Raises ``ValueError`` naming the offending line unless the file is
     exactly the header, the five fields in order, the K cluster lines and
     the K projection lines, each section in cluster order, with
-    ``sketch_bits`` values per projection.
+    ``sketch_bits`` finite values per projection and finite thresholds.
     """
     lines = [line.rstrip("\n") for line in fp]
     if not lines or lines[0] != MODEL_HEADER:
@@ -167,6 +172,8 @@ def _model_value(kind: type, text: str, line_no: int, minimum: int | None = None
         value = kind(text)
     except ValueError:
         raise _model_error(line_no, f"{text!r} is not a valid {kind.__name__}") from None
+    if not math.isfinite(value):
+        raise _model_error(line_no, f"{text!r} is not finite")
     if minimum is not None and value < minimum:
         raise _model_error(line_no, f"{value} is below {minimum}")
     return value
@@ -197,7 +204,6 @@ def run_bootstrap(
         sketch_bits=config.sketch_bits,
         cluster_seed=config.cluster_seed,
         family_seed=config.family_seed,
-        entropy_bins=config.entropy_bins,
     )
     if model_path is not None:
         with open(model_path, "w", encoding="ascii") as fp:
@@ -236,7 +242,6 @@ def run_stream(
         {g for g, label in labels.items() if label == LABEL_ANOMALY} if labels else None
     )
     store = GraphStore(capacity=config.max_edges)
-    states: OrderedDict[int, SketchState] = OrderedDict()  # least recently active first
     snapshots: list[SnapshotRecord] = []
     if csv_fp is not None:
         csv_fp.write("edges_processed,graph_id,score,assignment,ap,auc\n")
@@ -244,7 +249,7 @@ def run_stream(
     hops = model.hops
     chunk_length = model.chunk_length
     family = model.family
-    edges = 0
+    edges = dropped = 0
     started = time.perf_counter()
     for rec in _iter_records(stream):
         delta = edge_delta(store, store.prepare_edge(rec), hops, chunk_length)
@@ -252,21 +257,17 @@ def run_stream(
         if config.max_edges is not None and store.total_edges > config.max_edges:
             raise AssertionError("resident edges exceeded the configured bound")
 
-        graph_id = rec.graph_id
-        state = states.get(graph_id)
+        state = model.states.get(rec.graph_id)
         if state is None:
-            state = states[graph_id] = fresh_state(family.sketch_bits)
-        else:
-            states.move_to_end(graph_id)
-        old_state = state.copy()
-        apply_delta(state, family, delta)
-        model.update_graph(graph_id, old_state, state)
+            state = fresh_state(family.sketch_bits)
+        model.update_graph(rec.graph_id, apply_delta(state, family, delta))
 
         edges += 1
-        if config.max_tracked_graphs is not None and len(states) > config.max_tracked_graphs:
-            victim, victim_state = states.popitem(last=False)
-            model.forget_graph(victim, victim_state.projection)
+        if config.max_tracked_graphs is not None and len(model.states) > config.max_tracked_graphs:
+            victim = next(iter(model.states))
+            model.forget_graph(victim)
             store.drop_graph(victim)
+            dropped += 1
         if edges % config.snapshot_interval == 0:
             snapshots.append(_snapshot(model, edges, positives, csv_fp))
     if edges == 0 or edges % config.snapshot_interval != 0:
@@ -280,8 +281,8 @@ def run_stream(
         edges_per_second=edges / elapsed if elapsed > 0 else float("inf"),
         peak_edges=store.peak_edges,
         model=model,
-        states=states,
         store=store,
+        dropped_graphs=dropped,
     )
 
 

@@ -11,7 +11,9 @@ the parity of the true sum.
 A graph's projection vector accumulates, per function, the signed count
 of chunks hashed so far; its sketch is the sign pattern of the projection
 with sign(0) = +1. Projections are additive, so the sketch of a union of
-graphs is the sign of the sum of their projections.
+graphs is the sign of the sum of their projections. A ``SketchState`` is
+a value: its projection is read-only, its sketch is computed once, and
+``apply_delta`` returns a new state.
 
 Coefficients are drawn from numpy's seeded default generator (PCG64),
 which is a fixed, portable algorithm: a family is fully determined by
@@ -92,36 +94,26 @@ class HashFamily:
         return values
 
 
-_PLUS_ONE = np.int8(1)
-_MINUS_ONE = np.int8(-1)
-
-
 def sign_bits(projection: np.ndarray) -> np.ndarray:
-    """±1 sign pattern of a projection, with sign(0) = +1."""
-    return np.where(projection >= 0, _PLUS_ONE, _MINUS_ONE)
+    """±1 sign pattern (int8) of a projection, with sign(0) = +1."""
+    # A bool array viewed as int8 holds 0/1; this is 1.4-1.8x faster than
+    # np.where(projection >= 0, 1, -1) at 100-1000 bits.
+    return (projection >= 0).view(np.int8) * 2 - 1
 
 
 class SketchState:
-    """A graph's projection vector plus its derived sign sketch."""
+    """A graph's projection and its sign sketch; takes ``projection`` and makes it read-only."""
 
-    __slots__ = ("projection", "_sketch")
+    __slots__ = ("projection", "sketch")
 
     def __init__(self, projection: np.ndarray):
+        projection.setflags(write=False)
         self.projection = projection
-        self._sketch: np.ndarray | None = None
-
-    @property
-    def sketch(self) -> np.ndarray:
-        if self._sketch is None:
-            self._sketch = sign_bits(self.projection)
-        return self._sketch
+        self.sketch = sign_bits(projection)
 
     @property
     def sketch_bits(self) -> int:
         return int(self.projection.shape[0])
-
-    def copy(self) -> "SketchState":
-        return SketchState(self.projection.copy())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SketchState):
@@ -134,26 +126,25 @@ def fresh_state(sketch_bits: int) -> SketchState:
     return SketchState(np.zeros(sketch_bits, dtype=np.int64))
 
 
+def _fold(
+    projection: np.ndarray, family: HashFamily, counts: Mapping[str, int], op=np.add
+) -> np.ndarray:
+    """Add (or, with ``op=np.subtract``, remove) ``count`` hash values per chunk, in place."""
+    for chunk, count in counts.items():
+        values = family.hash_values(chunk)
+        op(projection, values if count == 1 else values.astype(np.int64) * count, out=projection)
+    return projection
+
+
 def apply_delta(state: SketchState, family: HashFamily, delta: ChunkDelta) -> SketchState:
-    """Fold a chunk delta into the projection in place; returns ``state``."""
-    projection = state.projection
-    for chunk, count in delta.incoming.items():
-        values = family.hash_values(chunk)
-        projection += values if count == 1 else values.astype(np.int64) * count
-    for chunk, count in delta.outgoing.items():
-        values = family.hash_values(chunk)
-        projection -= values if count == 1 else values.astype(np.int64) * count
-    state._sketch = None
-    return state
+    """State after folding a chunk delta into ``state``, which is left unchanged."""
+    projection = _fold(state.projection.copy(), family, delta.incoming)
+    return SketchState(_fold(projection, family, delta.outgoing, np.subtract))
 
 
 def batch_projection(counts: Mapping[str, int], family: HashFamily) -> SketchState:
     """Project a whole chunk-frequency vector at once; oracle for apply_delta."""
-    projection = np.zeros(family.sketch_bits, dtype=np.int64)
-    for chunk, count in counts.items():
-        values = family.hash_values(chunk)
-        projection += values if count == 1 else values.astype(np.int64) * count
-    return SketchState(projection)
+    return SketchState(_fold(np.zeros(family.sketch_bits, dtype=np.int64), family, counts))
 
 
 def merge(a: SketchState, b: SketchState) -> SketchState:

@@ -40,8 +40,10 @@ def fold_stream(records, hops, chunk_length, family, capacity=None):
     for rec in records:
         delta = edge_delta(store, store.prepare_edge(rec), hops, chunk_length)
         store.evict_to_capacity()
-        state = states.setdefault(rec.graph_id, fresh_state(family.sketch_bits))
-        apply_delta(state, family, delta)
+        state = states.get(rec.graph_id)
+        if state is None:
+            state = fresh_state(family.sketch_bits)
+        states[rec.graph_id] = apply_delta(state, family, delta)
     return store, states
 
 

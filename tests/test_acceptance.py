@@ -116,8 +116,10 @@ def test_criterion_01_incremental_batch_equivalence():
         states = {}
         for rec in records:
             delta = edge_delta(store, store.prepare_edge(rec), hops, chunk_length)
-            state = states.setdefault(rec.graph_id, fresh_state(128))
-            apply_delta(state, family, delta)
+            state = states.get(rec.graph_id)
+            if state is None:
+                state = fresh_state(128)
+            states[rec.graph_id] = apply_delta(state, family, delta)
         for graph_id in store.graph_ids():
             vector = shingle_vector(store, graph_id, hops, chunk_length)
             expected = batch_projection(vector, family)
@@ -267,13 +269,12 @@ def test_criterion_05_centroid_mean_invariant():
     worst = 0.0
     for step in range(10_000):
         graph = int(rng.integers(0, 40))
-        old = states[graph].copy()
         chunk_pool = [random_chunk(rng, int(rng.integers(1, 7))) for _ in range(3)]
         delta = ChunkDelta.cancelled(chunk_pool, chunk_pool[:1])
-        apply_delta(states[graph], family, delta)
-        model.update_graph(graph, old, states[graph])
+        states[graph] = apply_delta(states[graph], family, delta)
+        model.update_graph(graph, states[graph])
         if isinstance(model.assignments[graph], int):
-            members[graph] = states[graph].projection.copy()
+            members[graph] = states[graph].projection
         else:
             members.pop(graph, None)
         if step % 500 == 0 or step == 9_999:

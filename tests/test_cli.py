@@ -43,6 +43,7 @@ def test_generate_bootstrap_stream_pipeline(tmp_path, capsys):
     ) == 0
     out = capsys.readouterr().out
     assert "edges/sec" in out and "peak resident edges" in out
+    assert out.rstrip().endswith("dropped graphs 0")
     lines = csv.read_text().splitlines()
     assert lines[0] == "edges_processed,graph_id,score,assignment,ap,auc"
     assert len(lines) > 1

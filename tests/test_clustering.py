@@ -212,9 +212,7 @@ def plus_family(width):
 
 
 def state_with(projection):
-    state = fresh_state(len(projection))
-    state.projection[:] = projection
-    return state
+    return SketchState(np.array(projection, dtype=np.int64))
 
 
 def single_cluster_model(width=4, size=3, centroid=6.0, threshold=2.5):
@@ -225,7 +223,7 @@ def single_cluster_model(width=4, size=3, centroid=6.0, threshold=2.5):
 
 def test_add_to_cluster_updates_running_mean():
     model = single_cluster_model(size=3, centroid=6.0)
-    event = model.update_graph(7, fresh_state(4), state_with([2, 2, 2, 2]))
+    event = model.update_graph(7, state_with([2, 2, 2, 2]))
     assert not event.flagged and event.nearest == 0
     assert model.assignments[7] == 0
     assert model.sizes[0] == 4
@@ -235,7 +233,8 @@ def test_add_to_cluster_updates_running_mean():
 def test_update_within_cluster_shifts_mean_by_growth():
     model = single_cluster_model(size=4, centroid=6.0)
     model.assignments[7] = 0
-    event = model.update_graph(7, state_with([2, 2, 2, 2]), state_with([6, 6, 6, 6]))
+    model.states[7] = state_with([2, 2, 2, 2])
+    event = model.update_graph(7, state_with([6, 6, 6, 6]))
     assert not event.flagged
     assert model.sizes[0] == 4
     assert np.allclose(model.centroids[0], 7.0)  # 6 + (6-2)/4
@@ -243,7 +242,7 @@ def test_update_within_cluster_shifts_mean_by_growth():
 
 def test_far_state_is_flagged_as_attack():
     model = single_cluster_model(size=3, centroid=6.0, threshold=0.0)
-    event = model.update_graph(7, fresh_state(4), state_with([-5, 5, -5, 5]))
+    event = model.update_graph(7, state_with([-5, 5, -5, 5]))
     assert event.flagged
     assert model.assignments[7] == ATTACK
     assert model.sizes[0] == 3  # was not a member; nothing removed
@@ -252,7 +251,8 @@ def test_far_state_is_flagged_as_attack():
 def test_attack_removal_from_current_cluster():
     model = single_cluster_model(size=3, centroid=6.0, threshold=0.0)
     model.assignments[7] = 0
-    model.update_graph(7, state_with([3, 3, 3, 3]), state_with([-5, 5, -5, 5]))
+    model.states[7] = state_with([3, 3, 3, 3])
+    model.update_graph(7, state_with([-5, 5, -5, 5]))
     assert model.assignments[7] == ATTACK
     assert model.sizes[0] == 2
     assert np.allclose(model.centroids[0], (6.0 * 3 - 3.0) / 2)
@@ -263,9 +263,9 @@ def test_reassignment_moves_projection_mass_between_clusters():
     centroids = np.array([[8.0, 8.0, -8.0, -8.0], [5.0, 5.0, 5.0, 5.0]])
     model = ClusterModel(family, 1, 4, centroids, [2, 3], [2.5, 2.5])
     model.assignments[9] = 0
-    old = state_with([4, 4, -4, -4])
+    old = model.states[9] = state_with([4, 4, -4, -4])
     new = state_with([6, 6, 6, 6])  # now matches cluster 1's sign pattern
-    event = model.update_graph(9, old, new)
+    event = model.update_graph(9, new)
     assert event.nearest == 1 and not event.flagged
     assert model.assignments[9] == 1
     assert model.sizes.tolist() == [1, 4]
@@ -278,7 +278,8 @@ def test_removing_last_member_retires_the_cluster():
     centroids = np.array([[8.0, 8.0, -8.0, -8.0], [5.0, 5.0, 5.0, 5.0]])
     model = ClusterModel(family, 1, 4, centroids, [1, 3], [2.5, 2.5])
     model.assignments[9] = 0
-    model.update_graph(9, state_with([8, 8, -8, -8]), state_with([6, 6, 6, 6]))
+    model.states[9] = state_with([8, 8, -8, -8])
+    model.update_graph(9, state_with([6, 6, 6, 6]))
     assert not model.live[0]
     assert model.sizes[0] == 0
     # retired clusters are never matched again
@@ -289,7 +290,8 @@ def test_removing_last_member_retires_the_cluster():
 def test_attack_graph_can_rejoin_later():
     model = single_cluster_model(size=3, centroid=6.0, threshold=2.5)
     model.assignments[7] = ATTACK
-    event = model.update_graph(7, fresh_state(4), state_with([1, 1, 1, 1]))
+    model.states[7] = fresh_state(4)
+    event = model.update_graph(7, state_with([1, 1, 1, 1]))
     assert not event.flagged
     assert model.assignments[7] == 0
     assert model.sizes[0] == 4
@@ -298,7 +300,7 @@ def test_attack_graph_can_rejoin_later():
 def test_score_is_distance_after_centroid_update():
     model = single_cluster_model(size=1, centroid=1.0, threshold=2.5)
     new = state_with([-3, -3, -3, -3])
-    event = model.update_graph(7, fresh_state(4), new)
+    event = model.update_graph(7, new)
     # after adding, centroid = (1*1 + (-3)) / 2 = -1 per lane; sketch all -1
     assert np.allclose(model.centroids[0], -1.0)
     assert event.score == pytest.approx(0.0, abs=1e-12)
@@ -323,6 +325,9 @@ def test_nearest_choice_matches_raw_match_fraction(rng):
         distances = model.distances_to(sketch)
         mismatches = (model.sketches != sketch).sum(axis=1)
         assert int(np.argmin(distances)) == int(np.argmin(mismatches))
+        # the distances are exactly the estimate formula on the match fractions
+        matches = (model.sketches == sketch).sum(axis=1) / 64
+        assert np.array_equal(distances, 1.0 - np.cos(np.pi * (1.0 - matches)))
 
 
 def test_flag_rule_is_monotone_in_distance():
@@ -349,14 +354,12 @@ def test_centroid_tracks_member_mean_through_random_events(rng):
     states = {g: fresh_state(8) for g in range(30)}
     for step in range(4000):
         g = int(rng.integers(0, 30))
-        old = states[g].copy()
-        states[g].projection += rng.integers(-3, 4, size=8)
-        states[g]._sketch = None
-        model.update_graph(g, old, states[g])
+        states[g] = SketchState(states[g].projection + rng.integers(-3, 4, size=8))
+        model.update_graph(g, states[g])
         if model.assignments[g] == ATTACK:
             members.pop(g, None)
         else:
-            members[g] = states[g].projection.copy()
+            members[g] = states[g].projection
         if step % 97 and step != 3999:
             continue
         for q in range(3):
@@ -376,12 +379,27 @@ def test_add_then_remove_restores_centroid():
     model = single_cluster_model(size=5, centroid=3.0, threshold=2.5)
     before = model.centroids[0].copy()
     state = state_with([7, -1, 3, 5])
-    model.update_graph(11, fresh_state(4), state)
+    model.update_graph(11, state)
     # force it out: threshold to -1 so any distance flags
     model.thresholds[0] = -1.0
-    model.update_graph(11, state, state)
+    model.update_graph(11, state)
     assert model.sizes[0] == 5
     np.testing.assert_allclose(model.centroids[0], before, rtol=1e-9, atol=1e-9)
+
+
+def test_model_keeps_states_by_recency_and_forgets_them():
+    model = single_cluster_model(size=3, centroid=6.0, threshold=2.5)
+    first, second = state_with([2, 2, 2, 2]), state_with([4, 4, 4, 4])
+    model.update_graph(1, first)
+    model.update_graph(2, second)
+    model.update_graph(1, first)
+    assert list(model.states) == [2, 1]  # least recently updated first
+    assert model.states[1] is first
+    model.forget_graph(1)
+    assert list(model.states) == [2]
+    assert 1 not in model.assignments and 1 not in model.scores
+    assert model.sizes[0] == 4
+    np.testing.assert_allclose(model.centroids[0], (6.0 * 3 + 4.0) / 4)
 
 
 # -- bootstrap ----------------------------------------------------------------

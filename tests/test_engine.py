@@ -136,6 +136,8 @@ def test_truncated_model_file_raises_value_error(model_text):
         (10, lambda line: line.rsplit(" ", 1)[0], 10),
         (10, lambda line: line + " 0.5", 10),
         (10, lambda line: line + "\nprojection 1 0.5", 11),
+        pytest.param(7, lambda line: line.rsplit(" ", 1)[0] + " nan", 7, id="threshold-nan"),
+        pytest.param(10, lambda line: line.rsplit(" ", 1)[0] + " inf", 10, id="projection-inf"),
     ],
 )
 def test_corrupt_model_file_names_the_line(model_text, line_no, edit, named_line):
@@ -231,6 +233,7 @@ def test_final_sketches_match_batch_projection_without_eviction():
     config = small_config()
     model, _ = run_bootstrap(lines_of(dataset.train), config)
     result = run_stream(model, lines_of(dataset.test), config)
+    assert result.dropped_graphs == 0
     store = result.store
     for graph_id, state in result.states.items():
         vector = shingle_vector(store, graph_id, model.hops, model.chunk_length)
@@ -256,6 +259,8 @@ def test_tracked_graph_cap_drops_oldest_state():
     result = run_stream(model, lines_of(dataset.test), config)
     assert len(result.states) <= 3
     assert len(result.model.scores) <= 3
+    # every graph past the first three was dropped at least once
+    assert result.dropped_graphs >= len({r.graph_id for r in dataset.test}) - 3
     # centroid sizes stay consistent: every assigned graph is still tracked
     assigned = [g for g, a in result.model.assignments.items() if isinstance(a, int)]
     assert set(assigned) <= set(result.states)
@@ -268,13 +273,28 @@ def test_dropped_graph_leaves_store_and_sketch_consistent(seed, hops):
     dataset = golden_dataset(seed)
     config = replace(golden_config(seed, hops), max_tracked_graphs=3)
     model, _ = run_bootstrap(lines_of(dataset.train), config)
+    model_file = io.StringIO()
+    save_model(model, model_file)
+    saved = load_model(io.StringIO(model_file.getvalue()))
     result = run_stream(model, lines_of(dataset.test), config)
+    assert result.dropped_graphs > 0
     assert len(result.states) == 3
     assert set(result.store.graph_ids()) <= set(result.states)
     for graph_id, state in result.states.items():
         vector = shingle_vector(result.store, graph_id, model.hops, model.chunk_length)
         expected = batch_projection(vector, model.family).projection
         assert np.array_equal(state.projection, expected), f"graph {graph_id}"
+    # Each live centroid is still the mean of its saved members and its
+    # tracked members: dropped graphs were taken back out of the means.
+    model = result.model
+    assert model.live.any()
+    for q in np.flatnonzero(model.live):
+        members = [g for g, a in model.assignments.items() if isinstance(a, int) and a == q]
+        assert model.sizes[q] == saved.sizes[q] + len(members)
+        expected = saved.centroids[q] * saved.sizes[q]
+        expected = expected + sum((result.states[g].projection for g in members), 0)
+        error = np.abs(model.centroids[q] * model.sizes[q] - expected).max()
+        assert error <= 1e-9 * max(np.abs(expected).max(), 1.0), f"cluster {q}"
 
 
 def test_parse_errors_carry_line_numbers_through_the_engine():

@@ -7,6 +7,7 @@ import pytest
 
 from sketchstream import (
     HashFamily,
+    SketchState,
     apply_delta,
     batch_projection,
     cosine_distance,
@@ -92,26 +93,37 @@ def test_fresh_state_is_all_plus_one():
 def test_apply_empty_delta_is_identity():
     family = HashFamily.generate(8, 4, seed=3)
     state = fresh_state(8)
-    before = state.projection.copy()
-    apply_delta(state, family, ChunkDelta.cancelled([], []))
-    assert np.array_equal(state.projection, before)
+    after = apply_delta(state, family, ChunkDelta.cancelled([], []))
+    assert np.array_equal(after.projection, state.projection)
 
 
 def test_apply_single_negative_chunk():
     family = fixed_family([[2, 4]] * 6)  # hashes every single char to -1
-    state = fresh_state(6)
-    apply_delta(state, family, ChunkDelta.cancelled(["q"], []))
+    state = apply_delta(fresh_state(6), family, ChunkDelta.cancelled(["q"], []))
     assert state.projection.tolist() == [-1] * 6
     assert state.sketch.tolist() == [-1] * 6
 
 
 def test_incoming_then_outgoing_cancels():
     family = HashFamily.generate(16, 4, seed=9)
-    state = fresh_state(16)
-    apply_delta(state, family, ChunkDelta.cancelled(["ab"], []))
-    apply_delta(state, family, ChunkDelta.cancelled([], ["ab"]))
+    state = apply_delta(fresh_state(16), family, ChunkDelta.cancelled(["ab"], []))
+    state = apply_delta(state, family, ChunkDelta.cancelled([], ["ab"]))
     assert np.all(state.projection == 0)
     assert np.all(state.sketch == 1)
+
+
+def test_state_is_a_read_only_value():
+    family = HashFamily.generate(8, 4, seed=3)
+    state = batch_projection(Counter({"ab": 2}), family)
+    before = state.projection.copy()
+    with pytest.raises(ValueError):
+        state.projection[0] = 5
+    after = apply_delta(state, family, ChunkDelta.cancelled(["cd", "ab"], ["ab"]))
+    assert np.array_equal(state.projection, before)
+    assert np.array_equal(state.sketch, sign_bits(before))
+    assert after is not state
+    assert np.array_equal(after.projection, before + family.hash_values("cd"))
+    assert np.array_equal(after.sketch, sign_bits(after.projection))
 
 
 def test_batch_projection_cases():
@@ -133,10 +145,10 @@ def test_batch_projection_equals_folded_deltas(rng):
         chunk = "".join(letters[int(i)] for i in rng.integers(0, 8, int(rng.integers(1, 6))))
         if rng.random() < 0.7 or counts[chunk] == 0:
             counts[chunk] += 1
-            apply_delta(state, family, ChunkDelta.cancelled([chunk], []))
+            state = apply_delta(state, family, ChunkDelta.cancelled([chunk], []))
         else:
             counts[chunk] -= 1
-            apply_delta(state, family, ChunkDelta.cancelled([], [chunk]))
+            state = apply_delta(state, family, ChunkDelta.cancelled([], [chunk]))
     counts = +counts
     assert np.array_equal(state.projection, batch_projection(counts, family).projection)
 
@@ -147,10 +159,8 @@ def test_merge_identity_and_arithmetic():
     merged = merge(state, fresh_state(2))
     assert np.array_equal(merged.projection, state.projection)
 
-    a = fresh_state(2)
-    a.projection[:] = [2, -1]
-    b = fresh_state(2)
-    b.projection[:] = [-1, -1]
+    a = SketchState(np.array([2, -1]))
+    b = SketchState(np.array([-1, -1]))
     out = merge(a, b)
     assert out.projection.tolist() == [1, -2]
     assert out.sketch.tolist() == [1, -1]
