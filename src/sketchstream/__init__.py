@@ -40,6 +40,7 @@ from .metrics import average_precision, roc_auc
 from .records import EdgeRecord, ParseError, format_edge, parse_edge, read_stream
 from .shingles import (
     ChunkDelta,
+    ChunkMemo,
     chunk_shingle,
     edge_delta,
     exact_cosine,

@@ -312,7 +312,8 @@ class ClusterModel:
 
     def _score_against(self, nearest: int, sketch: np.ndarray, fallback: float) -> float:
         if self.live[nearest]:
-            return cosine_distance(sketch, self.sketches[nearest])
+            matches = np.count_nonzero(sketch == self.sketches[nearest])
+            return float(self._distance_of_matches[matches])
         if self.live.any():
             return float(self.distances_to(sketch).min())
         return fallback

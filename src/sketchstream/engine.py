@@ -7,6 +7,13 @@ test stream one edge at a time against a loaded model: chunk delta
 a snapshot of the instantaneous ranking is recorded every ``snapshot
 interval`` edges and once at stream end.
 
+Per edge, the work follows what the edge changed. The delta reads the
+"before" chunks of the affected nodes from a chunk memo kept for the
+whole stream and stores their "after" chunks there; eviction and
+tracked-graph drops clear the entries they make stale (see
+``shingles.ChunkMemo``). The sketch update hashes only the delta's
+chunks that the hash family has not cached, all in one product.
+
 Evicted edges never roll sketches back: a graph's projection accumulates
 over everything it has seen, while deltas for later edges are computed on
 the retained adjacency only. Detection state (sketch, assignment, score)
@@ -30,7 +37,7 @@ from .clustering import UNASSIGNED, BootstrapReport, ClusterModel, bootstrap_mod
 from .generator import LABEL_ANOMALY, read_labels
 from .metrics import average_precision, roc_auc
 from .records import EdgeRecord, read_stream
-from .shingles import edge_delta
+from .shingles import ChunkMemo, edge_delta
 from .sketches import HashFamily, SketchState, apply_delta, fresh_state
 from .store import GraphStore
 
@@ -246,14 +253,13 @@ def run_stream(
     if csv_fp is not None:
         csv_fp.write("edges_processed,graph_id,score,assignment,ap,auc\n")
 
-    hops = model.hops
-    chunk_length = model.chunk_length
+    memo = ChunkMemo(model.hops, model.chunk_length)
     family = model.family
     edges = dropped = 0
     started = time.perf_counter()
     for rec in _iter_records(stream):
-        delta = edge_delta(store, store.prepare_edge(rec), hops, chunk_length)
-        store.evict_to_capacity()
+        delta = edge_delta(store, store.prepare_edge(rec), memo)
+        memo.forget_evicted(store, store.evict_to_capacity())
         if config.max_edges is not None and store.total_edges > config.max_edges:
             raise AssertionError("resident edges exceeded the configured bound")
 
@@ -266,7 +272,7 @@ def run_stream(
         if config.max_tracked_graphs is not None and len(model.states) > config.max_tracked_graphs:
             victim = next(iter(model.states))
             model.forget_graph(victim)
-            store.drop_graph(victim)
+            memo.forget(store.drop_graph(victim))
             dropped += 1
         if edges % config.snapshot_interval == 0:
             snapshots.append(_snapshot(model, edges, positives, csv_fp))

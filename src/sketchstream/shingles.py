@@ -12,10 +12,22 @@ Shingles are split into fixed-length chunks, which are the unit actually
 counted and hashed. The per-edge delta of a graph is the multiset of
 chunks added and removed by one arriving edge. :func:`edge_delta` takes
 the nodes whose shingle the edge can change (those that reach its source
-within ``k - 1`` hops, plus the destination when it is new), reads their
-shingles, inserts the edge, reads them again and cancels the two sides.
-It does not evict: the caller evicts afterwards, so that a delta holds
-only what its own edge changed and eviction never rolls a sketch back.
+within ``k - 1`` hops, plus the destination when it is new), takes their
+chunks, inserts the edge, reads their shingles again and cancels the two
+sides. It does not evict: the caller evicts afterwards, so that a delta
+holds only what its own edge changed and eviction never rolls a sketch
+back.
+
+A :class:`ChunkMemo` keeps the chunk list that :func:`edge_delta` last
+computed for each node, so the "before" side of a delta is a lookup
+rather than a traversal. An entry must equal the node's chunks in the
+live store, and only resident nodes have entries. The store changes
+outside :func:`edge_delta` in two ways, and each drops the entries it
+makes stale. Evicting an edge u->v changes the shingle of every node
+that reaches u within ``k - 1`` hops, and forgets v if v has no edge
+left (:meth:`ChunkMemo.forget_evicted`). Dropping a graph forgets all of
+its nodes (:meth:`ChunkMemo.forget`). A node without an entry has its
+"before" chunks rebuilt from the store.
 """
 
 from __future__ import annotations
@@ -25,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .store import GraphStore, NodeKey, PendingEdge
+from .store import GraphStore, NodeKey, PendingEdge, StoredEdge
 
 
 def node_shingle(store: GraphStore, node: NodeKey, hops: int) -> str:
@@ -66,12 +78,12 @@ def chunk_shingle(shingle: str, chunk_length: int) -> list[str]:
 class ChunkDelta:
     """Chunks entering and leaving a graph's shingle multiset.
 
-    The two sides are disjoint: chunks appearing on both with equal
-    multiplicity cancel at construction.
+    ``net`` maps every chunk whose count changes to its signed change:
+    chunks appearing on both sides with equal multiplicity cancel at
+    construction. ``incoming`` and ``outgoing`` are its two sides.
     """
 
-    incoming: Counter
-    outgoing: Counter
+    net: dict[str, int]
 
     @classmethod
     def cancelled(cls, incoming: Iterable[str], outgoing: Iterable[str]) -> "ChunkDelta":
@@ -80,34 +92,79 @@ class ChunkDelta:
             net[chunk] = net.get(chunk, 0) + 1
         for chunk in outgoing:
             net[chunk] = net.get(chunk, 0) - 1
-        plus = Counter({c: n for c, n in net.items() if n > 0})
-        minus = Counter({c: -n for c, n in net.items() if n < 0})
-        return cls(plus, minus)
+        return cls({c: n for c, n in net.items() if n})
+
+    @property
+    def incoming(self) -> Counter:
+        return Counter({c: n for c, n in self.net.items() if n > 0})
+
+    @property
+    def outgoing(self) -> Counter:
+        return Counter({c: -n for c, n in self.net.items() if n < 0})
 
 
-def edge_delta(store: GraphStore, pending: PendingEdge, hops: int, chunk_length: int) -> ChunkDelta:
+class ChunkMemo:
+    """Last chunk list of each resident node at one hop depth and chunk length."""
+
+    __slots__ = ("hops", "chunk_length", "chunks")
+
+    def __init__(self, hops: int, chunk_length: int):
+        if hops < 1:
+            raise ValueError("hops must be at least 1")
+        if chunk_length < 1:
+            raise ValueError("chunk_length must be at least 1")
+        self.hops = hops
+        self.chunk_length = chunk_length
+        self.chunks: dict[NodeKey, list[str]] = {}
+
+    def forget(self, nodes: Iterable[NodeKey]) -> None:
+        """Drop the entries of nodes that left the store or changed outside edge_delta."""
+        for node in nodes:
+            self.chunks.pop(node, None)
+
+    def forget_evicted(self, store: GraphStore, evicted: Iterable[StoredEdge]) -> None:
+        """Drop the entries that evicting ``evicted`` from ``store`` made stale.
+
+        Reach is taken after the whole eviction. A node whose path to an
+        evicted edge's source lost an edge a->b on the way still reaches
+        a within ``hops - 1``, and a->b was evicted too.
+        """
+        chunks = self.chunks
+        for edge in evicted:
+            for node in store.reverse_reach(edge.source, self.hops - 1):
+                chunks.pop(node, None)
+            if not store.has_node(edge.dest):
+                chunks.pop(edge.dest, None)
+
+
+def edge_delta(store: GraphStore, pending: PendingEdge, memo: ChunkMemo) -> ChunkDelta:
     """Insert ``pending`` into the store and return the chunk delta it causes.
 
-    For every affected node, the shingle before insertion (omitted for
-    brand-new nodes) goes out and the shingle after insertion comes in;
-    both sides are chunked and cancelled. A path that uses the new edge
-    u->v has already passed through u, so the edge lets no new node reach
-    u: the affected set taken before insertion is also the set after it.
-    The store is left holding the edge but not evicted; eviction must
-    follow the delta, never precede it.
+    For every affected node, the chunks before insertion go out (from
+    ``memo``, rebuilt when it has no entry, none for brand-new nodes) and
+    the chunks after insertion come in and are stored in ``memo``. A path
+    that uses the new edge u->v has already passed through u, so the edge
+    lets no new node reach u: the affected set taken before insertion is
+    also the set after it. The store is left holding the edge but not
+    evicted; eviction must follow the delta, never precede it.
     """
     edge = pending.edge
+    hops, chunk_length, memo_chunks = memo.hops, memo.chunk_length, memo.chunks
     affected = store.reverse_reach(edge.source, hops - 1)
     if not store.has_node(edge.dest):
         affected.add(edge.dest)
     outgoing: list[str] = []
     for node in affected:
-        if store.has_node(node):
-            outgoing.extend(chunk_shingle(node_shingle(store, node, hops), chunk_length))
+        before = memo_chunks.get(node)
+        if before is None and store.has_node(node):
+            before = chunk_shingle(node_shingle(store, node, hops), chunk_length)
+        if before is not None:
+            outgoing.extend(before)
     store.insert_prepared(pending)
     incoming: list[str] = []
     for node in affected:
-        incoming.extend(chunk_shingle(node_shingle(store, node, hops), chunk_length))
+        after = memo_chunks[node] = chunk_shingle(node_shingle(store, node, hops), chunk_length)
+        incoming.extend(after)
     return ChunkDelta.cancelled(incoming, outgoing)
 
 

@@ -4,9 +4,31 @@ A hash family holds ``sketch_bits`` independent functions mapping a chunk
 to +1 or -1. Each function is a multilinear form over random 64-bit
 coefficients: for a chunk ``c`` of length n, coefficient 0 plus the sum of
 coefficient i+1 times the ASCII code of character i, all in wrapping
-64-bit arithmetic, reduced mod 2 and mapped to {-1, +1}. Wrapping is
-exact here because 2**64 is even, so the parity of the wrapped sum equals
-the parity of the true sum.
+64-bit arithmetic, reduced mod 2 and mapped to {-1, +1}.
+:meth:`HashFamily.hash_chunk` evaluates one function with Python integers
+and is the reference.
+
+:meth:`HashFamily.hash_rows` evaluates every function on a batch of
+chunks with one float64 matrix product and gives exactly the reference
+values. Each coefficient is split into a low and a high 32-bit half.
+Every chunk becomes a row of codes: 1 for the constant coefficient, then
+its characters, then 0 up to the batch's longest chunk. The rows are
+multiplied by both halves at once. A character code is at most 127, so
+each product is below 2**39, and a row of at most 2**14 characters sums
+to less than 2**32 * (1 + 127 * 2**14) < 2**53. Below 2**53 float64
+holds every integer exactly, in any summation order, so the family
+refuses a ``max_chunk_len`` above 2**14. The two half sums are then added
+back together in wrapping ``uint64`` arithmetic as low + (high << 32),
+which is the multilinear sum mod 2**64.
+
+Products are taken in blocks of rows sized from ``sketch_bits``, so that
+each temporary stays within 128 KiB. A block so small that a BLAS call
+would cost more than its arithmetic, such as one new chunk at L=100, is
+multiplied in numpy's own ``uint64`` loop instead, which wraps mod 2**64
+and needs no split. ``hash_rows`` caches each chunk's values as a
+read-only array of its own and hashes only the chunks it has not seen;
+``batch_projection`` hashes a whole vector block by block, without the
+cache.
 
 A graph's projection vector accumulates, per function, the signed count
 of chunks hashed so far; its sketch is the sign pattern of the projection
@@ -23,7 +45,7 @@ which is a fixed, portable algorithm: a family is fully determined by
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -31,28 +53,48 @@ from .shingles import ChunkDelta
 
 # Hash-value cache entries kept per family before the cache is reset.
 _CACHE_LIMIT = 1 << 18
+# Longest chunk that the batched product hashes exactly (see the module doc).
+MAX_EXACT_CHUNK_LEN = 1 << 14
+# Size of the float64 half sums of one block of rows in a batched hash.
+# Larger blocks run slower: their temporaries pass the allocator's 128 KiB
+# mmap threshold and fault their pages in again on every batch.
+_BLOCK_BYTES = 1 << 17
+# Products of at most this many multiply-adds run in numpy's own uint64
+# loop instead, which wraps mod 2**64 exactly and costs less than a BLAS
+# call: a one-chunk batch at L=100 does, one at L=1000 does not.
+_SMALL_PRODUCT = 1 << 13
 
 
 class HashFamily:
     """Immutable family of ±1-valued chunk hash functions."""
 
-    __slots__ = ("coefficients", "sketch_bits", "max_chunk_len", "seed", "_cache")
+    __slots__ = (
+        "coefficients", "sketch_bits", "max_chunk_len", "seed", "_halves", "_block_rows", "_cache",
+    )
 
     def __init__(self, coefficients: np.ndarray, seed: int):
         if coefficients.ndim != 2 or coefficients.shape[1] < 2:
             raise ValueError("coefficient table must be L x (max_chunk_len + 1)")
+        _check_chunk_len(int(coefficients.shape[1]) - 1)
         self.coefficients = np.ascontiguousarray(coefficients, dtype=np.uint64)
         self.sketch_bits = int(coefficients.shape[0])
         self.max_chunk_len = int(coefficients.shape[1]) - 1
         self.seed = seed
+        # Row i: the low then the high 32-bit halves of every function's
+        # coefficient i, as exact float64 operands.
+        table = self.coefficients.T
+        self._halves = np.ascontiguousarray(
+            np.concatenate((table & np.uint64(0xFFFFFFFF), table >> np.uint64(32)), axis=1),
+            dtype=np.float64,
+        )
+        self._block_rows = max(1, _BLOCK_BYTES // (16 * self.sketch_bits))
         self._cache: dict[str, np.ndarray] = {}
 
     @classmethod
     def generate(cls, sketch_bits: int, max_chunk_len: int, seed: int) -> "HashFamily":
         if sketch_bits < 1:
             raise ValueError("sketch_bits must be at least 1")
-        if max_chunk_len < 1:
-            raise ValueError("max_chunk_len must be at least 1")
+        _check_chunk_len(max_chunk_len)
         rng = np.random.default_rng(seed)
         table = rng.integers(
             0, 2**64, size=(sketch_bits, max_chunk_len + 1), dtype=np.uint64
@@ -74,24 +116,66 @@ class HashFamily:
         return 2 * (total % 2) - 1
 
     def hash_values(self, chunk: str) -> np.ndarray:
-        """±1 values of every function on ``chunk`` (int8, cached, read-only)."""
-        values = self._cache.get(chunk)
-        if values is None:
-            n = len(chunk)
-            if n > self.max_chunk_len:
-                raise ValueError(
-                    f"chunk of length {n} exceeds max_chunk_len {self.max_chunk_len}"
-                )
-            if n == 0:
-                raise ValueError("chunk must not be empty")
-            codes = np.frombuffer(chunk.encode("ascii"), dtype=np.uint8).astype(np.uint64)
-            totals = self.coefficients[:, 0] + self.coefficients[:, 1 : n + 1] @ codes
-            values = 2 * (totals & np.uint64(1)).astype(np.int8) - 1
-            values.flags.writeable = False
-            if len(self._cache) >= _CACHE_LIMIT:
-                self._cache.clear()
-            self._cache[chunk] = values
-        return values
+        """±1 values of every function on ``chunk``; the one-chunk :meth:`hash_rows`."""
+        return self.hash_rows((chunk,))[0]
+
+    def hash_rows(self, chunks: Collection[str]) -> list[np.ndarray]:
+        """±1 values (int8, cached, read-only) of every function on each chunk.
+
+        Chunks not in the cache are hashed together, one product per block
+        of rows. A cache reset while they are stored does not lose the
+        values of this call's other chunks.
+        """
+        cache = self._cache
+        missing = [chunk for chunk in chunks if chunk not in cache]
+        if not missing:
+            return [cache[chunk] for chunk in chunks]
+        rows = [cache.get(chunk) for chunk in chunks]
+        hashed = {}
+        step = self._block_rows
+        for start in range(0, len(missing), step):
+            block = missing[start : start + step]
+            for chunk, totals in zip(block, self._sums(block)):
+                values = _signs(totals)
+                values.flags.writeable = False
+                if len(cache) >= _CACHE_LIMIT:
+                    cache.clear()
+                cache[chunk] = hashed[chunk] = values
+        return [hashed[c] if row is None else row for c, row in zip(chunks, rows)]
+
+    def _sums(self, chunks: Sequence[str]) -> np.ndarray:
+        """Multilinear sums mod 2**64 (uint64, n x L) of one block of chunks."""
+        width = max(map(len, chunks), default=0)
+        if width > self.max_chunk_len:
+            raise ValueError(f"chunk of length {width} exceeds max_chunk_len {self.max_chunk_len}")
+        if not all(chunks):
+            raise ValueError("chunk must not be empty")
+        # Code 1 picks up the constant coefficient; code 0 pads short
+        # chunks and adds nothing.
+        padded = "".join("\1" + chunk.ljust(width, "\0") for chunk in chunks).encode("ascii")
+        codes = np.frombuffer(padded, dtype=np.uint8).reshape(len(chunks), width + 1)
+        if codes.size * self.sketch_bits <= _SMALL_PRODUCT:
+            return codes.astype(np.uint64) @ self.coefficients[:, : width + 1].T
+        # Exact below 2**53; float64 -> int64 is faster than -> uint64.
+        halves = codes.astype(np.float64) @ self._halves[: width + 1]
+        halves = halves.astype(np.int64).view(np.uint64)
+        bits = self.sketch_bits
+        totals = halves[:, bits:] << np.uint64(32)
+        totals += halves[:, :bits]
+        return totals
+
+
+def _signs(totals: np.ndarray) -> np.ndarray:
+    """±1 hash values (int8, a new array) of multilinear sums, from bit 0 of each sum."""
+    return (totals & np.uint64(1)).astype(np.int8) * 2 - 1
+
+
+def _check_chunk_len(max_chunk_len: int) -> None:
+    if not 1 <= max_chunk_len <= MAX_EXACT_CHUNK_LEN:
+        raise ValueError(
+            f"max_chunk_len must lie in [1, {MAX_EXACT_CHUNK_LEN}] for exact hashing, "
+            f"got {max_chunk_len}"
+        )
 
 
 def sign_bits(projection: np.ndarray) -> np.ndarray:
@@ -126,25 +210,37 @@ def fresh_state(sketch_bits: int) -> SketchState:
     return SketchState(np.zeros(sketch_bits, dtype=np.int64))
 
 
-def _fold(
-    projection: np.ndarray, family: HashFamily, counts: Mapping[str, int], op=np.add
-) -> np.ndarray:
-    """Add (or, with ``op=np.subtract``, remove) ``count`` hash values per chunk, in place."""
-    for chunk, count in counts.items():
-        values = family.hash_values(chunk)
-        op(projection, values if count == 1 else values.astype(np.int64) * count, out=projection)
-    return projection
-
-
 def apply_delta(state: SketchState, family: HashFamily, delta: ChunkDelta) -> SketchState:
-    """State after folding a chunk delta into ``state``, which is left unchanged."""
-    projection = _fold(state.projection.copy(), family, delta.incoming)
-    return SketchState(_fold(projection, family, delta.outgoing, np.subtract))
+    """State after folding a chunk delta into ``state``, which is left unchanged.
+
+    All of the delta's chunks are hashed in one call, so its uncached
+    ones share one product.
+    """
+    net = delta.net
+    projection = state.projection.copy()
+    for values, count in zip(family.hash_rows(net), net.values()):
+        if count == 1:
+            np.add(projection, values, out=projection)
+        elif count == -1:
+            np.subtract(projection, values, out=projection)
+        else:
+            np.add(projection, values.astype(np.int64) * count, out=projection)
+    return SketchState(projection)
 
 
 def batch_projection(counts: Mapping[str, int], family: HashFamily) -> SketchState:
-    """Project a whole chunk-frequency vector at once; oracle for apply_delta."""
-    return SketchState(_fold(np.zeros(family.sketch_bits, dtype=np.int64), family, counts))
+    """Project a whole chunk-frequency vector at once; oracle for apply_delta.
+
+    Hashes one block of rows at a time and leaves the family's cache alone.
+    """
+    chunks = list(counts)
+    weights = np.fromiter(counts.values(), dtype=np.int64, count=len(chunks))
+    projection = np.zeros(family.sketch_bits, dtype=np.int64)
+    step = family._block_rows
+    for start in range(0, len(chunks), step):
+        values = _signs(family._sums(chunks[start : start + step]))
+        projection += weights[start : start + step] @ values
+    return SketchState(projection)
 
 
 def merge(a: SketchState, b: SketchState) -> SketchState:

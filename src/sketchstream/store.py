@@ -215,10 +215,15 @@ class GraphStore:
         self.peak_edges = max(self.peak_edges, self.total_edges)
         return evicted
 
-    def drop_graph(self, graph_id: int) -> None:
-        """Forget every node and edge of one graph; edges never cross graphs."""
-        for node in self._graphs.pop(graph_id, ()):
+    def drop_graph(self, graph_id: int) -> set[NodeKey]:
+        """Forget every node and edge of one graph; returns the forgotten nodes.
+
+        Edges never cross graphs, so no other graph's node changes.
+        """
+        nodes = self._graphs.pop(graph_id, set())
+        for node in nodes:
             self.total_edges -= len(self._nodes.pop(node).out)
+        return nodes
 
     def _register(self, node: NodeKey, node_type: str) -> None:
         if node not in self._nodes:

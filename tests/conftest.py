@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sketchstream import (
+    ChunkMemo,
     EdgeRecord,
     GraphStore,
     apply_delta,
@@ -36,10 +37,11 @@ def build_store(records, capacity=None) -> GraphStore:
 def fold_stream(records, hops, chunk_length, family, capacity=None):
     """Replay records through the delta pipeline; returns (store, states)."""
     store = GraphStore(capacity=capacity)
+    memo = ChunkMemo(hops, chunk_length)
     states = {}
     for rec in records:
-        delta = edge_delta(store, store.prepare_edge(rec), hops, chunk_length)
-        store.evict_to_capacity()
+        delta = edge_delta(store, store.prepare_edge(rec), memo)
+        memo.forget_evicted(store, store.evict_to_capacity())
         state = states.get(rec.graph_id)
         if state is None:
             state = fresh_state(family.sketch_bits)

@@ -6,6 +6,7 @@ graphs plus 5 anomalies, streamed in groups of 10 after bootstrapping on
 75% of the benign graphs) is built once per session and shared.
 """
 
+import io
 import string
 import time
 from collections import Counter
@@ -20,20 +21,23 @@ from sketchstream import (
     RunConfig,
     apply_delta,
     batch_projection,
-    edge_delta,
     estimate_cosine,
     exact_cosine,
     format_edge,
     fresh_state,
     generate_dataset,
     generate_stream,
+    load_model,
     merge,
     run_bootstrap,
     run_stream,
+    save_model,
     shingle_vector,
 )
 from sketchstream.clustering import ClusterModel, build_model
 from sketchstream.shingles import ChunkDelta
+
+from conftest import fold_stream
 
 DETECTION_SEEDS = tuple(range(10))
 LETTERS = string.ascii_letters
@@ -112,14 +116,7 @@ def test_criterion_01_incremental_batch_equivalence():
         hops = 1 + seed % 3
         chunk_length = 3 + seed % 6
         family = HashFamily.generate(128, chunk_length, seed=seed + 400)
-        store = GraphStore()
-        states = {}
-        for rec in records:
-            delta = edge_delta(store, store.prepare_edge(rec), hops, chunk_length)
-            state = states.get(rec.graph_id)
-            if state is None:
-                state = fresh_state(128)
-            states[rec.graph_id] = apply_delta(state, family, delta)
+        store, states = fold_stream(records, hops, chunk_length, family)
         for graph_id in store.graph_ids():
             vector = shingle_vector(store, graph_id, hops, chunk_length)
             expected = batch_projection(vector, family)
@@ -391,9 +388,13 @@ def test_criterion_09_throughput():
     )
     config = RunConfig(hops=1, sketch_bits=100, snapshot_interval=10_000)
     lines = [format_edge(r) for r in dataset.test]
+    saved = io.StringIO()
+    save_model(model, saved)
     best = 0.0
     for _ in range(3):
-        result = run_stream(model, lines, config, labels=dataset.labels)
+        # A fresh model per attempt: run_stream updates its model in place.
+        fresh = load_model(io.StringIO(saved.getvalue()))
+        result = run_stream(fresh, lines, config, labels=dataset.labels)
         best = max(best, result.edges_per_second)
         if best >= 10_000:
             break

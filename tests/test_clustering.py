@@ -306,6 +306,14 @@ def test_score_is_distance_after_centroid_update():
     assert event.score == pytest.approx(0.0, abs=1e-12)
 
 
+def test_distance_table_equals_the_estimate_formula():
+    # the table scores and ranks; cosine_distance is its formula on one count
+    for bits in range(1, 1101):
+        model = ClusterModel(plus_family(bits), 1, 1, np.zeros((1, bits)), [1], [0.5])
+        formula = [1.0 - math.cos(math.pi * (1.0 - k / bits)) for k in range(bits + 1)]
+        assert model._distance_of_matches.tolist() == formula, f"{bits} bits"
+
+
 def test_ranking_sorts_by_score_then_graph_id():
     model = single_cluster_model()
     model.scores.update({1: 0.2, 2: 0.5, 3: 0.2})

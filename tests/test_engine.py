@@ -5,14 +5,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import sketchstream.engine as engine
 from sketchstream import (
+    ClusterModel,
     GeneratorConfig,
+    HashFamily,
     ParseError,
     RunConfig,
     batch_projection,
+    chunk_shingle,
+    cosine_distance,
+    edge_delta,
     format_edge,
     generate_dataset,
     load_model,
+    node_shingle,
     run_bootstrap,
     run_stream,
     save_model,
@@ -314,3 +321,54 @@ def test_unassigned_graphs_report_unassigned_in_snapshot():
     rows = result.snapshots[0].rows
     assert len(rows) == 1
     assert rows[0][2] in {UNASSIGNED, "ATTACK"} or rows[0][2].isdigit()
+
+
+@pytest.mark.parametrize("hops", [1, 2, 3])
+def test_chunk_memo_matches_the_live_store_after_every_edge(hops, monkeypatch):
+    # A small cap evicts on most edges and a tracked-graph cap of two
+    # drops live graphs; after each edge, every memo entry must be a
+    # resident node's chunk list in the live store.
+    dataset = small_dataset(seed=hops)
+    config = small_config(hops=hops, max_edges=40, max_tracked_graphs=2)
+    rng = np.random.default_rng(hops)
+    family = HashFamily.generate(config.sketch_bits, 4, seed=hops)
+    centroids = rng.normal(size=(2, config.sketch_bits))
+    model = ClusterModel(family, hops, 4, centroids, [3, 3], [0.5, 0.5])
+    seen = []
+
+    def check(store, memo):
+        for node, chunks in memo.chunks.items():
+            assert store.has_node(node), f"memo holds forgotten node {node}"
+            expected = chunk_shingle(node_shingle(store, node, hops), memo.chunk_length)
+            assert chunks == expected, f"stale memo entry for {node}"
+
+    def checked_delta(store, pending, memo):
+        check(store, memo)  # as the previous edge's eviction and drop left it
+        seen.append((store, memo))
+        return edge_delta(store, pending, memo)
+
+    monkeypatch.setattr(engine, "edge_delta", checked_delta)
+    result = run_stream(model, lines_of(dataset.test), config)
+    check(*seen[-1])
+    assert result.edges_processed == len(seen) > 2 * config.max_edges
+    assert result.dropped_graphs > 0
+    assert len(seen[-1][1].chunks) > 0
+
+
+def test_streamed_scores_equal_the_distance_to_the_updated_centroid():
+    dataset = small_dataset()
+    config = small_config()
+    model, _ = run_bootstrap(lines_of(dataset.train), config)
+    update = model.update_graph
+    scored = []
+
+    def checked_update(graph_id, state):
+        event = update(graph_id, state)
+        if model.live[event.nearest]:
+            assert event.score == cosine_distance(state.sketch, model.sketches[event.nearest])
+            scored.append(event.score)
+        return event
+
+    model.update_graph = checked_update
+    result = run_stream(model, lines_of(dataset.test), config)
+    assert len(scored) == result.edges_processed

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sketchstream import (
+    ChunkMemo,
     GeneratorConfig,
     GraphStore,
     chunk_shingle,
@@ -127,7 +128,7 @@ def test_chunking_rejects_bad_inputs():
 def test_delta_on_empty_graph():
     store = GraphStore()
     pending = store.prepare_edge(edge(1, "a", 2, "b", 1, "x"))
-    delta = edge_delta(store, pending, 1, 10)
+    delta = edge_delta(store, pending, ChunkMemo(1, 10))
     assert delta.incoming == Counter({"axb": 1, "b": 1})
     assert delta.outgoing == Counter()
 
@@ -135,7 +136,7 @@ def test_delta_on_empty_graph():
 def test_delta_for_second_edge():
     store = build_store([edge(1, "a", 2, "b", 1, "x")])
     pending = store.prepare_edge(edge(1, "a", 3, "c", 2, "y"))
-    delta = edge_delta(store, pending, 1, 10)
+    delta = edge_delta(store, pending, ChunkMemo(1, 10))
     assert delta.outgoing == Counter({"axb": 1})
     assert delta.incoming == Counter({"axbyc": 1, "c": 1})
 
@@ -143,7 +144,7 @@ def test_delta_for_second_edge():
 def test_delta_cancellation_with_short_chunks():
     store = build_store([edge(1, "a", 2, "b", 1, "x")])
     pending = store.prepare_edge(edge(1, "a", 3, "c", 2, "y"))
-    delta = edge_delta(store, pending, 1, 2)
+    delta = edge_delta(store, pending, ChunkMemo(1, 2))
     # raw outgoing {ax, b}, raw incoming {ax, by, c, c}; "ax" cancels
     assert delta.outgoing == Counter({"b": 1})
     assert delta.incoming == Counter({"by": 1, "c": 2})
@@ -159,9 +160,10 @@ def test_delta_sides_are_disjoint_after_cancellation():
 def _delta_matches_batch_difference(records, hops, length):
     """The stated oracle: delta == vector(after) - vector(before)."""
     store = GraphStore()
+    memo = ChunkMemo(hops, length)
     for rec in records:
         before = shingle_vector(store, rec.graph_id, hops, length)
-        delta = edge_delta(store, store.prepare_edge(rec), hops, length)
+        delta = edge_delta(store, store.prepare_edge(rec), memo)
         after = shingle_vector(store, rec.graph_id, hops, length)
         gained = after.copy()
         gained.subtract(before)

@@ -16,8 +16,9 @@ from sketchstream import (
     fresh_state,
     merge,
 )
+from sketchstream import sketches
 from sketchstream.shingles import ChunkDelta
-from sketchstream.sketches import sign_bits
+from sketchstream.sketches import MAX_EXACT_CHUNK_LEN, sign_bits
 
 
 def fixed_family(rows):
@@ -262,3 +263,106 @@ def test_every_function_is_balanced_over_random_chunks(rng):
 def test_sign_bits_is_plus_one_at_zero():
     values = np.array([-2.0, -0.0, 0.0, 0.5], dtype=np.float64)
     assert sign_bits(values).tolist() == [-1, 1, 1, 1]
+
+
+# -- batched hashing -------------------------------------------------------------
+
+
+def _reference_rows(family, chunks):
+    return [[family.hash_chunk(l, c) for l in range(family.sketch_bits)] for c in chunks]
+
+
+def _random_chunks(rng, count, max_len, alphabet=string.printable[:95]):
+    # printable ASCII from " " to "~" (0x20-0x7E)
+    return [
+        "".join(alphabet[int(i)] for i in rng.integers(0, len(alphabet), int(n)))
+        for n in rng.integers(1, max_len + 1, count)
+    ]
+
+
+def test_hash_rows_matches_scalar_path_on_mixed_lengths(rng):
+    # more chunks than one block holds at L=1000, lengths 1..max_chunk_len
+    family = HashFamily.generate(1000, 12, seed=21)
+    chunks = _random_chunks(rng, 30, 12) + ["~" * 12, "~", "a" * 12]
+    assert max(map(len, chunks)) == family.max_chunk_len
+    rows = family.hash_rows(chunks)
+    assert [row.tolist() for row in rows] == _reference_rows(family, chunks)
+    assert all(row.dtype == np.int8 and not row.flags.writeable for row in rows)
+    assert all(row.base is None for row in rows)  # each row owns its values
+
+
+def _reference_sums(family, chunks):
+    table = [[int(c) for c in row] for row in family.coefficients]
+    return [
+        [
+            (row[0] + sum(row[i + 1] * ord(ch) for i, ch in enumerate(chunk))) % 2**64
+            for row in table
+        ]
+        for chunk in chunks
+    ]
+
+
+@pytest.mark.parametrize("small_product", [0, 1 << 62], ids=["float-halves", "uint64"])
+def test_batched_sums_are_exact_across_the_32_bit_split(small_product, monkeypatch):
+    # coefficients just below 2**64: both halves are all ones, so every
+    # product and the wrapped total carry through the split
+    monkeypatch.setattr(sketches, "_SMALL_PRODUCT", small_product)
+    top = np.uint64(2**64 - 1)
+    table = np.array([[top - np.uint64(k + j) for j in range(9)] for k in range(16)])
+    chunks = ["~" * 8, "~", "}~|~{~z~", "\x7f" * 8, " !~"]
+    for family in (HashFamily(table, seed=0), HashFamily.generate(16, 8, seed=3)):
+        assert family._sums(chunks).tolist() == _reference_sums(family, chunks)
+        rows = family.hash_rows(chunks)
+        assert [r.tolist() for r in rows] == _reference_rows(family, chunks)
+
+
+def test_hash_rows_mixes_cached_and_uncached_chunks(rng):
+    family = HashFamily.generate(64, 6, seed=8)
+    chunks = _random_chunks(rng, 12, 6)
+    first = family.hash_rows(chunks[::2])
+    rows = family.hash_rows(chunks)
+    assert all(rows[2 * i] is row for i, row in enumerate(first))  # served from the cache
+    assert [r.tolist() for r in rows] == _reference_rows(family, chunks)
+    assert family.hash_values(chunks[1]) is rows[1]
+
+
+def test_cache_reset_inside_a_batch_keeps_every_value(rng, monkeypatch):
+    monkeypatch.setattr(sketches, "_CACHE_LIMIT", 3)
+    family = HashFamily.generate(32, 5, seed=4)
+    chunks = _random_chunks(rng, 9, 5)
+    family.hash_rows(chunks[:2])
+    # two cached chunks, then seven new ones: the cache resets while they
+    # are stored, after the cached ones were read
+    rows = family.hash_rows(chunks)
+    assert [r.tolist() for r in rows] == _reference_rows(family, chunks)
+    assert len(family._cache) <= 3
+    again = family.hash_rows(chunks)
+    assert [r.tolist() for r in again] == _reference_rows(family, chunks)
+
+
+def test_batch_projection_matches_scalar_sum(rng):
+    family = HashFamily.generate(1000, 7, seed=30)
+    counts = Counter({c: int(rng.integers(1, 4)) for c in _random_chunks(rng, 40, 7)})
+    expected = np.zeros(1000, dtype=np.int64)
+    for chunk, count in counts.items():
+        expected += count * np.array(_reference_rows(family, [chunk])[0])
+    assert np.array_equal(batch_projection(counts, family).projection, expected)
+    assert family._cache == {}  # the batch path leaves the cache alone
+
+
+def test_family_refuses_chunk_lengths_outside_the_exact_range():
+    with pytest.raises(ValueError, match="exact"):
+        HashFamily.generate(4, MAX_EXACT_CHUNK_LEN + 1, seed=1)
+    with pytest.raises(ValueError, match="exact"):
+        HashFamily(np.ones((2, MAX_EXACT_CHUNK_LEN + 2), dtype=np.uint64), seed=0)
+    # the longest exact chunk, all "~", still matches the reference
+    table = np.full((2, MAX_EXACT_CHUNK_LEN + 1), 2**64 - 1, dtype=np.uint64)
+    table[1, ::3] = 2**63 + 12345
+    family = HashFamily(table, seed=0)
+    chunk = "~" * MAX_EXACT_CHUNK_LEN
+    assert family._sums([chunk]).tolist() == _reference_sums(family, [chunk])
+    assert family.hash_values(chunk).tolist() == _reference_rows(family, [chunk])[0]
+    with pytest.raises(ValueError):
+        family.hash_rows(["ok", "~" * (MAX_EXACT_CHUNK_LEN + 1)])
+    with pytest.raises(ValueError):
+        family.hash_rows(["ok", ""])
