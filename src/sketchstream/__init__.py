@@ -62,7 +62,7 @@ from .store import (
     GraphStore,
     NodeKey,
     NodeTypeConflictError,
-    PendingEdge,
+    OutOfOrderEdgeError,
     StoredEdge,
 )
 

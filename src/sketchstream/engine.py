@@ -2,10 +2,10 @@
 
 The bootstrap runner loads a training stream whole (unbounded store),
 clusters it, and writes a text model file. The stream runner replays a
-test stream one edge at a time against a loaded model: chunk delta
-(which inserts the edge), eviction, sketch update, cluster update, score;
-a snapshot of the instantaneous ranking is recorded every ``snapshot
-interval`` edges and once at stream end.
+test stream one edge at a time in arrival order against a loaded model:
+chunk delta (which inserts the edge and then evicts), sketch update,
+cluster update, score; a snapshot of the instantaneous ranking is
+recorded every ``snapshot interval`` edges and once at stream end.
 
 Per edge, the work follows what the edge changed. The delta reads the
 "before" chunks of the affected nodes from a chunk memo kept for the
@@ -31,8 +31,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
-import numpy as np
-
 from .clustering import UNASSIGNED, BootstrapReport, ClusterModel, bootstrap_model
 from .generator import LABEL_ANOMALY, read_labels
 from .metrics import average_precision, roc_auc
@@ -46,7 +44,12 @@ MODEL_HEADER = "sketchstream model 1"
 
 @dataclass
 class RunConfig:
-    """Knobs of the detection pipeline."""
+    """Knobs of the detection pipeline.
+
+    ``run_stream`` reads only ``max_edges``, ``snapshot_interval`` and
+    ``max_tracked_graphs``: hops, chunk length and sketch width come from
+    the model. ``run_bootstrap`` reads the other fields.
+    """
 
     hops: int = 1
     sketch_bits: int = 1000
@@ -147,22 +150,21 @@ def load_model(fp: IO[str]) -> ClusterModel:
             f"{n_clusters} clusters need {expected} lines, file has {len(lines)}",
         )
 
-    sizes = np.zeros(n_clusters, dtype=np.int64)
-    thresholds = np.zeros(n_clusters, dtype=np.float64)
-    centroids = np.zeros((n_clusters, sketch_bits), dtype=np.float64)
+    sizes, thresholds, centroids = [], [], []
     for q in range(n_clusters):
         line_no = 7 + q
         parts = lines[line_no - 1].split(" ")
         if len(parts) != 6 or parts[:3] != ["cluster", str(q), "size"] or parts[4] != "threshold":
             raise _model_error(line_no, f"expected 'cluster {q} size <n> threshold <t>'")
-        sizes[q] = _model_value(int, parts[3], line_no, 0)
-        thresholds[q] = _model_value(float, parts[5], line_no)
+        sizes.append(_model_value(int, parts[3], line_no, 0))
+        thresholds.append(_model_value(float, parts[5], line_no))
+    # Every row is checked before an array exists: a bad width allocates nothing.
     for q in range(n_clusters):
         line_no = 7 + n_clusters + q
         parts = lines[line_no - 1].split(" ")
         if parts[:2] != ["projection", str(q)] or len(parts) != 2 + sketch_bits:
             raise _model_error(line_no, f"expected 'projection {q}' and {sketch_bits} values")
-        centroids[q] = [_model_value(float, v, line_no) for v in parts[2:]]
+        centroids.append([_model_value(float, v, line_no) for v in parts[2:]])
 
     family = HashFamily.generate(sketch_bits, fields["chunk_length"], fields["family_seed"])
     return ClusterModel(
@@ -258,8 +260,7 @@ def run_stream(
     edges = dropped = 0
     started = time.perf_counter()
     for rec in _iter_records(stream):
-        delta = edge_delta(store, store.prepare_edge(rec), memo)
-        memo.forget_evicted(store, store.evict_to_capacity())
+        delta = edge_delta(store, rec, memo)
         if config.max_edges is not None and store.total_edges > config.max_edges:
             raise AssertionError("resident edges exceeded the configured bound")
 
@@ -272,7 +273,7 @@ def run_stream(
         if config.max_tracked_graphs is not None and len(model.states) > config.max_tracked_graphs:
             victim = next(iter(model.states))
             model.forget_graph(victim)
-            memo.forget(store.drop_graph(victim))
+            memo.drop_graph(store, victim)
             dropped += 1
         if edges % config.snapshot_interval == 0:
             snapshots.append(_snapshot(model, edges, positives, csv_fp))

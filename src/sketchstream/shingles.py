@@ -1,33 +1,30 @@
 """Shingles: strings summarizing a node's ordered local neighborhood.
 
 A node's shingle starts with its own type symbol. A breadth-first
-traversal then expands each reached node's out-edges in
-``(timestamp, arrival_seq)`` order, appending the edge type and the
-destination type for every edge traversed, down to a fixed hop depth.
-A node reached several times contributes its type once per traversed
-edge, but its out-edges are expanded at most once per traversal.
-Shingles are always read from the live store.
+traversal then expands each reached node's out-edges in arrival order
+(which the store keeps in timestamp order), appending the edge type and
+the destination type for every edge traversed, down to a fixed hop depth
+or until no node is left to expand. A node reached several times
+contributes its type once per traversed edge, but its out-edges are
+expanded at most once per traversal. Shingles are always read from the
+live store.
 
 Shingles are split into fixed-length chunks, which are the unit actually
 counted and hashed. The per-edge delta of a graph is the multiset of
-chunks added and removed by one arriving edge. :func:`edge_delta` takes
-the nodes whose shingle the edge can change (those that reach its source
-within ``k - 1`` hops, plus the destination when it is new), takes their
-chunks, inserts the edge, reads their shingles again and cancels the two
-sides. It does not evict: the caller evicts afterwards, so that a delta
-holds only what its own edge changed and eviction never rolls a sketch
-back.
+chunks added and removed by one arriving edge. :func:`edge_delta` is the
+whole write of one edge: it takes the chunks of the nodes whose shingle
+the edge can change (those that reach its source within ``k - 1`` hops,
+plus the destination when it is new), inserts the edge, reads them again
+and only then evicts, so that a delta holds only what its own edge
+changed and eviction never rolls a sketch back.
 
 A :class:`ChunkMemo` keeps the chunk list that :func:`edge_delta` last
-computed for each node, so the "before" side of a delta is a lookup
-rather than a traversal. An entry must equal the node's chunks in the
-live store, and only resident nodes have entries. The store changes
-outside :func:`edge_delta` in two ways, and each drops the entries it
-makes stale. Evicting an edge u->v changes the shingle of every node
-that reaches u within ``k - 1`` hops, and forgets v if v has no edge
-left (:meth:`ChunkMemo.forget_evicted`). Dropping a graph forgets all of
-its nodes (:meth:`ChunkMemo.forget`). A node without an entry has its
-"before" chunks rebuilt from the store.
+computed for each resident node, so the "before" side of a delta is a
+lookup; a node without an entry is read from the store. Every entry
+equals the node's chunks in the live store: evicting u->v, at the end of
+:func:`edge_delta`, clears every node that reaches u within ``k - 1``
+hops and v if v is forgotten, and :meth:`ChunkMemo.drop_graph` clears a
+dropped graph's nodes.
 """
 
 from __future__ import annotations
@@ -37,7 +34,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .store import GraphStore, NodeKey, PendingEdge, StoredEdge
+from .records import EdgeRecord
+from .store import GraphStore, NodeKey
 
 
 def node_shingle(store: GraphStore, node: NodeKey, hops: int) -> str:
@@ -61,6 +59,8 @@ def node_shingle(store: GraphStore, node: NodeKey, hops: int) -> str:
                 parts.append(edge.edge_type)
                 parts.append(type_of(edge.dest))
                 next_frontier.append(edge.dest)
+        if not next_frontier:
+            break
         frontier = next_frontier
     return "".join(parts)
 
@@ -117,37 +117,23 @@ class ChunkMemo:
         self.chunk_length = chunk_length
         self.chunks: dict[NodeKey, list[str]] = {}
 
-    def forget(self, nodes: Iterable[NodeKey]) -> None:
-        """Drop the entries of nodes that left the store or changed outside edge_delta."""
-        for node in nodes:
+    def drop_graph(self, store: GraphStore, graph_id: int) -> None:
+        """Drop one graph from ``store`` and forget its nodes' entries."""
+        for node in store.drop_graph(graph_id):
             self.chunks.pop(node, None)
 
-    def forget_evicted(self, store: GraphStore, evicted: Iterable[StoredEdge]) -> None:
-        """Drop the entries that evicting ``evicted`` from ``store`` made stale.
 
-        Reach is taken after the whole eviction. A node whose path to an
-        evicted edge's source lost an edge a->b on the way still reaches
-        a within ``hops - 1``, and a->b was evicted too.
-        """
-        chunks = self.chunks
-        for edge in evicted:
-            for node in store.reverse_reach(edge.source, self.hops - 1):
-                chunks.pop(node, None)
-            if not store.has_node(edge.dest):
-                chunks.pop(edge.dest, None)
+def edge_delta(store: GraphStore, rec: EdgeRecord, memo: ChunkMemo) -> ChunkDelta:
+    """Write one edge to the store and return the chunk delta it causes.
 
-
-def edge_delta(store: GraphStore, pending: PendingEdge, memo: ChunkMemo) -> ChunkDelta:
-    """Insert ``pending`` into the store and return the chunk delta it causes.
-
-    For every affected node, the chunks before insertion go out (from
-    ``memo``, rebuilt when it has no entry, none for brand-new nodes) and
-    the chunks after insertion come in and are stored in ``memo``. A path
-    that uses the new edge u->v has already passed through u, so the edge
-    lets no new node reach u: the affected set taken before insertion is
-    also the set after it. The store is left holding the edge but not
-    evicted; eviction must follow the delta, never precede it.
+    A rejected edge changes nothing. For every affected node, the chunks
+    before insertion go out (from ``memo``, rebuilt when it has no entry,
+    none for brand-new nodes) and the chunks after insertion come in and
+    are stored in ``memo``. A path that uses the new edge u->v has already
+    passed through u, so the affected set taken before insertion is also
+    the set after it. The store then evicts down to its capacity.
     """
+    pending = store.prepare_edge(rec)
     edge = pending.edge
     hops, chunk_length, memo_chunks = memo.hops, memo.chunk_length, memo.chunks
     affected = store.reverse_reach(edge.source, hops - 1)
@@ -165,6 +151,14 @@ def edge_delta(store: GraphStore, pending: PendingEdge, memo: ChunkMemo) -> Chun
     for node in affected:
         after = memo_chunks[node] = chunk_shingle(node_shingle(store, node, hops), chunk_length)
         incoming.extend(after)
+    # Reach is taken after the whole eviction. A node whose path to an
+    # evicted edge's source lost an edge a->b on the way still reaches a
+    # within hops - 1, and a->b was evicted too.
+    for evicted in store.evict_to_capacity():
+        for node in store.reverse_reach(evicted.source, hops - 1):
+            memo_chunks.pop(node, None)
+        if not store.has_node(evicted.dest):
+            memo_chunks.pop(evicted.dest, None)
     return ChunkDelta.cancelled(incoming, outgoing)
 
 

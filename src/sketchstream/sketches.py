@@ -66,7 +66,8 @@ _SMALL_PRODUCT = 1 << 13
 
 
 class HashFamily:
-    """Immutable family of ±1-valued chunk hash functions."""
+    """Family of ±1-valued chunk hash functions: fixed coefficients, and a
+    mutable cache of hashed chunks that every user of the family shares."""
 
     __slots__ = (
         "coefficients", "sketch_bits", "max_chunk_len", "seed", "_halves", "_block_rows", "_cache",

@@ -1,15 +1,15 @@
 """Bounded in-memory adjacency over all live graphs.
 
 Nodes are keyed by ``(graph_id, node_id)``. Each node keeps its outgoing
-edges ordered by ``(timestamp, arrival_seq)`` and its incoming edges in
-arrival order.
+and its incoming edges in arrival order. An edge older than its source's
+newest stored out-edge is rejected, so out-lists are in timestamp order
+too and inserting only appends.
 
-Adding an edge takes three steps: :meth:`GraphStore.prepare_edge`
-validates node types and assigns the arrival sequence,
-:meth:`GraphStore.insert_prepared` appends the edge, and
-:meth:`GraphStore.evict_to_capacity` evicts until the resident edge count
-is within capacity. Between the last two the store may hold one edge over
-its capacity; chunk deltas are read there (see ``shingles.edge_delta``).
+:meth:`GraphStore.insert` adds an edge and evicts. ``shingles.edge_delta``
+runs the same steps one at a time (:meth:`~GraphStore.prepare_edge`
+validates and sequences, :meth:`~GraphStore.insert_prepared` appends,
+:meth:`~GraphStore.evict_to_capacity` evicts) to read chunks in between,
+while the store holds one edge over its capacity.
 
 Nodes are kept in recency order: inserting an edge moves both endpoints
 to the back, the smaller key first. Eviction takes the node at the front,
@@ -26,7 +26,6 @@ prepared.
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -47,6 +46,10 @@ class NodeTypeConflictError(ValueError):
         self.proposed = proposed
 
 
+class OutOfOrderEdgeError(ValueError):
+    """An edge is older than its source's newest stored out-edge."""
+
+
 @dataclass(slots=True, eq=False)
 class StoredEdge:
     source: NodeKey
@@ -54,10 +57,6 @@ class StoredEdge:
     edge_type: str
     timestamp: int
     arrival_seq: int
-
-    @property
-    def order_key(self) -> tuple[int, int]:
-        return (self.timestamp, self.arrival_seq)
 
 
 @dataclass(slots=True, frozen=True)
@@ -111,7 +110,7 @@ class GraphStore:
         return entry.type if entry is not None else None
 
     def out_edges(self, node: NodeKey) -> list[StoredEdge]:
-        """Outgoing edges in ``(timestamp, arrival_seq)`` order.
+        """Outgoing edges in arrival order, which is also timestamp order.
 
         Returns the live internal list for speed; callers must not mutate
         it. Unknown nodes yield an empty list.
@@ -153,7 +152,7 @@ class GraphStore:
     # -- mutation --------------------------------------------------------
 
     def prepare_edge(self, rec: EdgeRecord) -> PendingEdge:
-        """Validate type consistency and assign the next arrival sequence.
+        """Validate node types and the timestamp; assign the next arrival sequence.
 
         Does not mutate adjacency; the returned edge must be passed to
         :meth:`insert_prepared` before any further edge is prepared.
@@ -166,6 +165,12 @@ class GraphStore:
             entry = self._nodes.get(node)
             if entry is not None and entry.type != proposed:
                 raise NodeTypeConflictError(node, entry.type, proposed)
+        out = self.out_edges(source)
+        if out and rec.timestamp < out[-1].timestamp:
+            raise OutOfOrderEdgeError(
+                f"node {source} has an out-edge at timestamp {out[-1].timestamp}, "
+                f"edge proposes {rec.timestamp}"
+            )
         edge = StoredEdge(source, dest, rec.edge_type, rec.timestamp, self._seq + 1)
         return PendingEdge(edge, rec.source_type, rec.dest_type)
 
@@ -188,12 +193,7 @@ class GraphStore:
         self._register(edge.source, pending.source_type)
         self._register(edge.dest, pending.dest_type)
 
-        source_node = self._nodes[edge.source]
-        out = source_node.out
-        if out and edge.order_key < out[-1].order_key:
-            insort(out, edge, key=lambda e: e.order_key)
-        else:
-            out.append(edge)
+        self._nodes[edge.source].out.append(edge)
         self._nodes[edge.dest].inc.append(edge)
         self.total_edges += 1
 
@@ -232,10 +232,11 @@ class GraphStore:
             self._graphs.setdefault(node[0], set()).add(node)
 
     def _evict_one(self) -> StoredEdge:
-        # Every stored node holds an edge. In-edges are in arrival order,
-        # so the first is the oldest; out-edges are in timestamp order.
+        # Every stored node holds an edge, and both lists are in arrival
+        # order, so the oldest is the first of one of them.
         entry = next(iter(self._nodes.values()))
-        victim = min(entry.out + entry.inc[:1], key=lambda e: e.arrival_seq)
+        out, inc = entry.out, entry.inc
+        victim = out[0] if out and (not inc or out[0].arrival_seq < inc[0].arrival_seq) else inc[0]
         self._remove_edge(victim)
         return victim
 

@@ -40,8 +40,7 @@ def fold_stream(records, hops, chunk_length, family, capacity=None):
     memo = ChunkMemo(hops, chunk_length)
     states = {}
     for rec in records:
-        delta = edge_delta(store, store.prepare_edge(rec), memo)
-        memo.forget_evicted(store, store.evict_to_capacity())
+        delta = edge_delta(store, rec, memo)
         state = states.get(rec.graph_id)
         if state is None:
             state = fresh_state(family.sketch_bits)

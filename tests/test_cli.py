@@ -72,6 +72,39 @@ def test_cli_reports_truncated_model_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_refuses_a_huge_projection_width_before_allocating(tmp_path, capsys):
+    model = tmp_path / "wide.model"
+    model.write_text(
+        f"{MODEL_HEADER}\nsketch_bits 10000000000000\nchunk_length 2\nhops 1\n"
+        "family_seed 0\nclusters 1\ncluster 0 size 1 threshold 0.5\nprojection 0 1.0\n"
+    )
+    code = run_cli(
+        "stream", "--model", model, "-i", tmp_path / "test.tsv",
+        "--csv-out", tmp_path / "out.csv",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: model file line 8: ")
+    assert "Traceback" not in err
+
+
+def test_cli_reports_out_of_order_edge_without_traceback(tmp_path, capsys):
+    model = tmp_path / "tiny.model"
+    model.write_text(
+        f"{MODEL_HEADER}\nsketch_bits 4\nchunk_length 2\nhops 1\nfamily_seed 0\n"
+        "clusters 1\ncluster 0 size 1 threshold 0.5\nprojection 0 1.0 -1.0 1.0 -1.0\n"
+    )
+    stream = tmp_path / "test.tsv"
+    stream.write_text("1\ta\t2\tb\t5\tX\t0\n1\ta\t3\tc\t4\tX\t0\n")
+    code = run_cli(
+        "stream", "--model", model, "-i", stream, "--csv-out", tmp_path / "out.csv",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: node (0, 1) has an out-edge at timestamp 5")
+    assert "Traceback" not in err
+
+
 def test_cli_rejects_bad_int_list(capsys):
     import pytest
 

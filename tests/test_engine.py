@@ -342,10 +342,10 @@ def test_chunk_memo_matches_the_live_store_after_every_edge(hops, monkeypatch):
             expected = chunk_shingle(node_shingle(store, node, hops), memo.chunk_length)
             assert chunks == expected, f"stale memo entry for {node}"
 
-    def checked_delta(store, pending, memo):
+    def checked_delta(store, rec, memo):
         check(store, memo)  # as the previous edge's eviction and drop left it
         seen.append((store, memo))
-        return edge_delta(store, pending, memo)
+        return edge_delta(store, rec, memo)
 
     monkeypatch.setattr(engine, "edge_delta", checked_delta)
     result = run_stream(model, lines_of(dataset.test), config)

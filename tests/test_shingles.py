@@ -8,6 +8,7 @@ from sketchstream import (
     ChunkMemo,
     GeneratorConfig,
     GraphStore,
+    OutOfOrderEdgeError,
     chunk_shingle,
     edge_delta,
     exact_cosine,
@@ -31,7 +32,7 @@ def reference_shingle(store, start, hops):
             if node in expanded:
                 continue
             expanded.add(node)
-            for e in sorted(store.out_edges(node), key=lambda e: e.order_key):
+            for e in sorted(store.out_edges(node), key=lambda e: (e.timestamp, e.arrival_seq)):
                 parts.append(e.edge_type)
                 parts.append(store.node_type(e.dest))
                 next_frontier.append(e.dest)
@@ -77,6 +78,12 @@ def test_revisited_nodes_contribute_per_edge_but_expand_once():
     )
     assert node_shingle(store, (0, 1), 3) == "axbyczdwb"
     assert node_shingle(store, (0, 1), 3) == reference_shingle(store, (0, 1), 3)
+
+
+def test_shingle_stops_when_no_node_is_left_to_expand():
+    store = build_store([edge(1, "a", 2, "b", 1, "x")])
+    one_hop = node_shingle(store, (0, 1), 1)
+    assert node_shingle(store, (0, 1), 10**9) == one_hop == "axb"
 
 
 def test_shingle_against_reference_on_random_graphs(rng):
@@ -127,24 +134,32 @@ def test_chunking_rejects_bad_inputs():
 
 def test_delta_on_empty_graph():
     store = GraphStore()
-    pending = store.prepare_edge(edge(1, "a", 2, "b", 1, "x"))
-    delta = edge_delta(store, pending, ChunkMemo(1, 10))
+    delta = edge_delta(store, edge(1, "a", 2, "b", 1, "x"), ChunkMemo(1, 10))
     assert delta.incoming == Counter({"axb": 1, "b": 1})
     assert delta.outgoing == Counter()
 
 
 def test_delta_for_second_edge():
     store = build_store([edge(1, "a", 2, "b", 1, "x")])
-    pending = store.prepare_edge(edge(1, "a", 3, "c", 2, "y"))
-    delta = edge_delta(store, pending, ChunkMemo(1, 10))
+    delta = edge_delta(store, edge(1, "a", 3, "c", 2, "y"), ChunkMemo(1, 10))
     assert delta.outgoing == Counter({"axb": 1})
     assert delta.incoming == Counter({"axbyc": 1, "c": 1})
 
 
+def test_rejected_edge_changes_neither_store_nor_memo():
+    store = GraphStore()
+    memo = ChunkMemo(2, 3)
+    edge_delta(store, edge(1, "a", 2, "b", 5, "x"), memo)
+    chunks = {node: list(c) for node, c in memo.chunks.items()}
+    with pytest.raises(OutOfOrderEdgeError):
+        edge_delta(store, edge(1, "a", 3, "c", 4, "y"), memo)
+    assert store.total_edges == 1 and not store.has_node((0, 3))
+    assert memo.chunks == chunks
+
+
 def test_delta_cancellation_with_short_chunks():
     store = build_store([edge(1, "a", 2, "b", 1, "x")])
-    pending = store.prepare_edge(edge(1, "a", 3, "c", 2, "y"))
-    delta = edge_delta(store, pending, ChunkMemo(1, 2))
+    delta = edge_delta(store, edge(1, "a", 3, "c", 2, "y"), ChunkMemo(1, 2))
     # raw outgoing {ax, b}, raw incoming {ax, by, c, c}; "ax" cancels
     assert delta.outgoing == Counter({"b": 1})
     assert delta.incoming == Counter({"by": 1, "c": 2})
@@ -163,7 +178,7 @@ def _delta_matches_batch_difference(records, hops, length):
     memo = ChunkMemo(hops, length)
     for rec in records:
         before = shingle_vector(store, rec.graph_id, hops, length)
-        delta = edge_delta(store, store.prepare_edge(rec), memo)
+        delta = edge_delta(store, rec, memo)
         after = shingle_vector(store, rec.graph_id, hops, length)
         gained = after.copy()
         gained.subtract(before)
