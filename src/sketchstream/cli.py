@@ -140,6 +140,13 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         f"({result.edges_per_second:.0f} edges/sec), peak resident edges {result.peak_edges}, "
         f"dropped graphs {result.dropped_graphs}"
     )
+    if result.dropped_graphs > result.graphs_seen:
+        print(
+            f"warning: {result.dropped_graphs} graph drops for {result.graphs_seen} graphs: "
+            "live graphs keep restarting from nothing; raise --max-tracked-graphs "
+            "to the number of graphs that stream at once",
+            file=sys.stderr,
+        )
     return 0
 
 

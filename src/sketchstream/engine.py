@@ -92,6 +92,7 @@ class StreamResult:
     model: ClusterModel
     store: GraphStore
     dropped_graphs: int  # graphs dropped by the tracked-graph cap
+    graphs_seen: int  # distinct graphs in the stream
 
     @property
     def states(self) -> dict[int, SketchState]:
@@ -258,6 +259,7 @@ def run_stream(
     memo = ChunkMemo(model.hops, model.chunk_length)
     family = model.family
     edges = dropped = 0
+    seen: set[int] = set()
     started = time.perf_counter()
     for rec in _iter_records(stream):
         delta = edge_delta(store, rec, memo)
@@ -265,8 +267,9 @@ def run_stream(
             raise AssertionError("resident edges exceeded the configured bound")
 
         state = model.states.get(rec.graph_id)
-        if state is None:
+        if state is None:  # each graph's first edge passes here
             state = fresh_state(family.sketch_bits)
+            seen.add(rec.graph_id)
         model.update_graph(rec.graph_id, apply_delta(state, family, delta))
 
         edges += 1
@@ -290,6 +293,7 @@ def run_stream(
         model=model,
         store=store,
         dropped_graphs=dropped,
+        graphs_seen=len(seen),
     )
 
 

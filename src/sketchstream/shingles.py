@@ -2,12 +2,12 @@
 
 A node's shingle starts with its own type symbol. A breadth-first
 traversal then expands each reached node's out-edges in arrival order
-(which the store keeps in timestamp order), appending the edge type and
-the destination type for every edge traversed, down to a fixed hop depth
-or until no node is left to expand. A node reached several times
-contributes its type once per traversed edge, but its out-edges are
-expanded at most once per traversal. Shingles are always read from the
-live store.
+(which the store keeps in timestamp order), appending each traversed
+edge's label (its edge type, then its destination's type), down to a
+fixed hop depth or until no node is left to expand. A node reached
+several times contributes its type once per traversed edge, but its
+out-edges are expanded at most once per traversal. Shingles are always
+read from the live store.
 
 Shingles are split into fixed-length chunks, which are the unit actually
 counted and hashed. The per-edge delta of a graph is the multiset of
@@ -42,8 +42,7 @@ def node_shingle(store: GraphStore, node: NodeKey, hops: int) -> str:
     """Build the depth-limited ordered-traversal shingle of a stored node."""
     if hops < 1:
         raise ValueError("hops must be at least 1")
-    type_of = store.node_type
-    node_type = type_of(node)
+    node_type = store.node_type(node)
     if node_type is None:
         raise KeyError(f"unknown node {node}")
     parts = [node_type]
@@ -56,8 +55,7 @@ def node_shingle(store: GraphStore, node: NodeKey, hops: int) -> str:
                 continue
             expanded.add(current)
             for edge in store.out_edges(current):
-                parts.append(edge.edge_type)
-                parts.append(type_of(edge.dest))
+                parts.append(edge.label)
                 next_frontier.append(edge.dest)
         if not next_frontier:
             break

@@ -25,10 +25,21 @@ Products are taken in blocks of rows sized from ``sketch_bits``, so that
 each temporary stays within 128 KiB. A block so small that a BLAS call
 would cost more than its arithmetic, such as one new chunk at L=100, is
 multiplied in numpy's own ``uint64`` loop instead, which wraps mod 2**64
-and needs no split. ``hash_rows`` caches each chunk's values as a
-read-only array of its own and hashes only the chunks it has not seen;
-``batch_projection`` hashes a whole vector block by block, without the
-cache.
+and needs no split.
+
+Each family caches hashed chunks in one preallocated int8 slab of
+``_SLAB_BYTES`` bytes, one row of ``sketch_bits`` bytes per chunk, with a
+dict from chunk to row. The signs of a hashed block are written into the
+slab at once. When a batch's new chunks do not fit, the slab is cleared
+all at once and refilled; it only memoises, so no output depends on its
+size. ``hash_rows`` returns a copy of the rows, which no later clear can
+change; ``batch_projection`` hashes a whole vector block by block,
+without the slab.
+
+``apply_delta`` folds a delta of a few chunks with one ``np.add`` per
+chunk, and a larger one as one float64 product of its signed counts with
+its slab rows. That product is exact: every partial sum is an integer
+no larger in magnitude than the delta's total count, far below 2**53.
 
 A graph's projection vector accumulates, per function, the signed count
 of chunks hashed so far; its sketch is the sign pattern of the projection
@@ -51,8 +62,14 @@ import numpy as np
 
 from .shingles import ChunkDelta
 
-# Hash-value cache entries kept per family before the cache is reset.
-_CACHE_LIMIT = 1 << 18
+# Bytes of a family's slab of cached hash values, one int8 per function
+# and chunk: 67,108 chunks at L=1000. A full slab is cleared at once.
+_SLAB_BYTES = 1 << 26
+# A delta with at most this many distinct chunks is folded one np.add per
+# chunk; a larger one in one float64 product, which costs more to set up.
+# The two cross between 5 and 6 rows at both L=100 and L=1000 (2-core
+# Xeon, numpy 2.4 with one OpenBLAS thread).
+_LOOP_ROWS = 5
 # Longest chunk that the batched product hashes exactly (see the module doc).
 MAX_EXACT_CHUNK_LEN = 1 << 14
 # Size of the float64 half sums of one block of rows in a batched hash.
@@ -67,10 +84,11 @@ _SMALL_PRODUCT = 1 << 13
 
 class HashFamily:
     """Family of ±1-valued chunk hash functions: fixed coefficients, and a
-    mutable cache of hashed chunks that every user of the family shares."""
+    mutable slab of hashed chunks that every user of the family shares."""
 
     __slots__ = (
-        "coefficients", "sketch_bits", "max_chunk_len", "seed", "_halves", "_block_rows", "_cache",
+        "coefficients", "sketch_bits", "max_chunk_len", "seed", "_halves", "_block_rows",
+        "_slab", "_slab_rows", "_index",
     )
 
     def __init__(self, coefficients: np.ndarray, seed: int):
@@ -89,7 +107,12 @@ class HashFamily:
             dtype=np.float64,
         )
         self._block_rows = max(1, _BLOCK_BYTES // (16 * self.sketch_bits))
-        self._cache: dict[str, np.ndarray] = {}
+        # Cached values, one int8 row per chunk; pages are touched only as
+        # rows are written. ``_index`` maps a chunk to its row, and rows
+        # 0 .. len(_index) - 1 are in use.
+        self._slab_rows = max(1, _SLAB_BYTES // self.sketch_bits)
+        self._slab = np.empty((self._slab_rows, self.sketch_bits), dtype=np.int8)
+        self._index: dict[str, int] = {}
 
     @classmethod
     def generate(cls, sketch_bits: int, max_chunk_len: int, seed: int) -> "HashFamily":
@@ -120,29 +143,40 @@ class HashFamily:
         """±1 values of every function on ``chunk``; the one-chunk :meth:`hash_rows`."""
         return self.hash_rows((chunk,))[0]
 
-    def hash_rows(self, chunks: Collection[str]) -> list[np.ndarray]:
-        """±1 values (int8, cached, read-only) of every function on each chunk.
+    def hash_rows(self, chunks: Sequence[str]) -> np.ndarray:
+        """±1 values (int8, one row per chunk) of every function on each chunk.
 
-        Chunks not in the cache are hashed together, one product per block
-        of rows. A cache reset while they are stored does not lose the
-        values of this call's other chunks.
+        The result is an array of its own, so a later slab clear cannot
+        change it. A batch larger than the slab is looked up in pieces.
         """
-        cache = self._cache
-        missing = [chunk for chunk in chunks if chunk not in cache]
-        if not missing:
-            return [cache[chunk] for chunk in chunks]
-        rows = [cache.get(chunk) for chunk in chunks]
-        hashed = {}
-        step = self._block_rows
-        for start in range(0, len(missing), step):
-            block = missing[start : start + step]
-            for chunk, totals in zip(block, self._sums(block)):
-                values = _signs(totals)
-                values.flags.writeable = False
-                if len(cache) >= _CACHE_LIMIT:
-                    cache.clear()
-                cache[chunk] = hashed[chunk] = values
-        return [hashed[c] if row is None else row for c, row in zip(chunks, rows)]
+        out = np.empty((len(chunks), self.sketch_bits), dtype=np.int8)
+        step = self._slab_rows
+        for start in range(0, len(chunks), step):
+            out[start : start + step] = self._slab[self._rows(chunks[start : start + step])]
+        return out
+
+    def _rows(self, chunks: Collection[str]) -> list[int]:
+        """Slab rows that hold the values of ``chunks``, at most ``_slab_rows`` distinct.
+
+        Chunks not in the slab are hashed together, one product per block
+        of rows. When they do not fit, the slab is cleared first and every
+        chunk of the batch is hashed again, so all the rows returned stay
+        valid until the next call.
+        """
+        index = self._index
+        missing = [chunk for chunk in chunks if chunk not in index]
+        if missing:
+            if len(index) + len(missing) > self._slab_rows:
+                index.clear()
+                missing = chunks
+            missing = list(dict.fromkeys(missing))
+            base = len(index)
+            step = self._block_rows
+            for start in range(0, len(missing), step):
+                block = missing[start : start + step]
+                self._slab[base + start : base + start + len(block)] = _signs(self._sums(block))
+            index.update(zip(missing, range(base, base + len(missing))))
+        return [index[chunk] for chunk in chunks]
 
     def _sums(self, chunks: Sequence[str]) -> np.ndarray:
         """Multilinear sums mod 2**64 (uint64, n x L) of one block of chunks."""
@@ -214,34 +248,59 @@ def fresh_state(sketch_bits: int) -> SketchState:
 def apply_delta(state: SketchState, family: HashFamily, delta: ChunkDelta) -> SketchState:
     """State after folding a chunk delta into ``state``, which is left unchanged.
 
-    All of the delta's chunks are hashed in one call, so its uncached
+    All of the delta's chunks are looked up in one call, so its uncached
     ones share one product.
     """
     net = delta.net
     projection = state.projection.copy()
-    for values, count in zip(family.hash_rows(net), net.values()):
-        if count == 1:
-            np.add(projection, values, out=projection)
-        elif count == -1:
-            np.subtract(projection, values, out=projection)
-        else:
-            np.add(projection, values.astype(np.int64) * count, out=projection)
+    step = family._slab_rows
+    if len(net) <= step:
+        _fold(projection, family, net)
+    else:  # more distinct chunks than the slab holds: fold in pieces
+        items = list(net.items())
+        for start in range(0, len(items), step):
+            _fold(projection, family, dict(items[start : start + step]))
     return SketchState(projection)
+
+
+def _fold(projection: np.ndarray, family: HashFamily, net: dict[str, int]) -> None:
+    """Add the signed counts ``net`` of at most ``_slab_rows`` chunks into ``projection``."""
+    rows = family._rows(net)
+    slab = family._slab
+    if len(rows) > _LOOP_ROWS:
+        weights = np.fromiter(net.values(), dtype=np.float64, count=len(rows))
+        projection += _weighted_sum(weights, slab[rows])
+        return
+    for row, count in zip(rows, net.values()):
+        if count == 1:
+            np.add(projection, slab[row], out=projection)
+        elif count == -1:
+            np.subtract(projection, slab[row], out=projection)
+        else:
+            np.add(projection, slab[row].astype(np.int64) * count, out=projection)
 
 
 def batch_projection(counts: Mapping[str, int], family: HashFamily) -> SketchState:
     """Project a whole chunk-frequency vector at once; oracle for apply_delta.
 
-    Hashes one block of rows at a time and leaves the family's cache alone.
+    Hashes one block of rows at a time and leaves the family's slab alone.
     """
     chunks = list(counts)
-    weights = np.fromiter(counts.values(), dtype=np.int64, count=len(chunks))
+    weights = np.fromiter(counts.values(), dtype=np.float64, count=len(chunks))
     projection = np.zeros(family.sketch_bits, dtype=np.int64)
     step = family._block_rows
     for start in range(0, len(chunks), step):
         values = _signs(family._sums(chunks[start : start + step]))
-        projection += weights[start : start + step] @ values
+        projection += _weighted_sum(weights[start : start + step], values)
     return SketchState(projection)
+
+
+def _weighted_sum(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``weights @ values`` (int64) of float64 integer weights and ±1 int8 rows.
+
+    One float64 product, exact while the sum of |weights| stays below 2**53.
+    """
+    return (weights @ values.astype(np.float64)).astype(np.int64)
 
 
 def merge(a: SketchState, b: SketchState) -> SketchState:

@@ -5,6 +5,12 @@ and its incoming edges in arrival order. An edge older than its source's
 newest stored out-edge is rejected, so out-lists are in timestamp order
 too and inserting only appends.
 
+Each stored edge carries its label: the edge type followed by the
+destination's type, the two characters that it adds to a shingle. Labels
+are interned, so edges with the same label share one string. A node
+stays resident while it holds an edge, and a resident node's type never
+changes, so a label never goes stale.
+
 :meth:`GraphStore.insert` adds an edge and evicts. ``shingles.edge_delta``
 runs the same steps one at a time (:meth:`~GraphStore.prepare_edge`
 validates and sequences, :meth:`~GraphStore.insert_prepared` appends,
@@ -26,6 +32,7 @@ prepared.
 
 from __future__ import annotations
 
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -52,9 +59,11 @@ class OutOfOrderEdgeError(ValueError):
 
 @dataclass(slots=True, eq=False)
 class StoredEdge:
+    """A resident edge; ``label`` is its edge type then its destination's type."""
+
     source: NodeKey
     dest: NodeKey
-    edge_type: str
+    label: str
     timestamp: int
     arrival_seq: int
 
@@ -171,7 +180,8 @@ class GraphStore:
                 f"node {source} has an out-edge at timestamp {out[-1].timestamp}, "
                 f"edge proposes {rec.timestamp}"
             )
-        edge = StoredEdge(source, dest, rec.edge_type, rec.timestamp, self._seq + 1)
+        label = sys.intern(rec.edge_type + rec.dest_type)
+        edge = StoredEdge(source, dest, label, rec.timestamp, self._seq + 1)
         return PendingEdge(edge, rec.source_type, rec.dest_type)
 
     def insert(self, rec: EdgeRecord) -> list[StoredEdge]:

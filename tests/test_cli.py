@@ -1,3 +1,5 @@
+import pytest
+
 from sketchstream.cli import main
 from sketchstream.engine import MODEL_HEADER
 
@@ -47,6 +49,35 @@ def test_generate_bootstrap_stream_pipeline(tmp_path, capsys):
     lines = csv.read_text().splitlines()
     assert lines[0] == "edges_processed,graph_id,score,assignment,ap,auc"
     assert len(lines) > 1
+
+
+@pytest.mark.parametrize("cap", [8, None], ids=["cap-8", "no-cap"])
+def test_stream_warns_when_the_tracked_graph_cap_thrashes(tmp_path, capsys, cap):
+    stream, labels, train = tmp_path / "test.tsv", tmp_path / "labels.tsv", tmp_path / "train.tsv"
+    assert run_cli(
+        "generate", "--classes", 2, "--graphs-per-class", 12, "--anomaly-fraction", 0.1,
+        "--avg-nodes", 15, "--avg-edges", 40, "-B", 10, "--separation", 1.0, "--seed", 7,
+        "--out", stream, "--labels-out", labels, "--train-out", train, "--train-fraction", 0.3,
+    ) == 0
+    model = tmp_path / "m.model"
+    assert run_cli(
+        "bootstrap", "-i", train, "--model-out", model, "--chunk-lengths", "2,4",
+        "--cluster-counts", "2", "-L", 64, "--seed", 1, "--family-seed", 2,
+    ) == 0
+    capsys.readouterr()
+    cap_args = () if cap is None else ("--max-tracked-graphs", cap)
+    assert run_cli(
+        "stream", "--model", model, "-i", stream, "--csv-out", tmp_path / "out.csv", *cap_args,
+    ) == 0
+    captured = capsys.readouterr()
+    dropped = int(captured.out.rstrip().rsplit(" ", 1)[1])  # the exit line ends with the count
+    graphs = len({line.split("\t")[6] for line in stream.read_text().splitlines()})
+    if cap is None:
+        assert dropped == 0 and captured.err == ""
+    else:
+        assert dropped > graphs
+        assert captured.err.startswith(f"warning: {dropped} graph drops for {graphs} graphs")
+        assert "--max-tracked-graphs" in captured.err
 
 
 def test_cli_reports_errors_to_stderr(tmp_path, capsys):
@@ -106,7 +137,6 @@ def test_cli_reports_out_of_order_edge_without_traceback(tmp_path, capsys):
 
 
 def test_cli_rejects_bad_int_list(capsys):
-    import pytest
 
     with pytest.raises(SystemExit):
         run_cli("bootstrap", "-i", "x", "--model-out", "y",

@@ -33,7 +33,7 @@ def reference_shingle(store, start, hops):
                 continue
             expanded.add(node)
             for e in sorted(store.out_edges(node), key=lambda e: (e.timestamp, e.arrival_seq)):
-                parts.append(e.edge_type)
+                parts.append(e.label[0])
                 parts.append(store.node_type(e.dest))
                 next_frontier.append(e.dest)
         frontier = next_frontier

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sketchstream import (
     HashFamily,
@@ -287,8 +289,9 @@ def test_hash_rows_matches_scalar_path_on_mixed_lengths(rng):
     assert max(map(len, chunks)) == family.max_chunk_len
     rows = family.hash_rows(chunks)
     assert [row.tolist() for row in rows] == _reference_rows(family, chunks)
-    assert all(row.dtype == np.int8 and not row.flags.writeable for row in rows)
-    assert all(row.base is None for row in rows)  # each row owns its values
+    assert rows.dtype == np.int8 and rows.flags.owndata  # the caller's own values
+    rows[:] = 0  # writing to them leaves the cached values alone
+    assert family.hash_rows(chunks).tolist() == _reference_rows(family, chunks)
 
 
 def _reference_sums(family, chunks):
@@ -316,28 +319,114 @@ def test_batched_sums_are_exact_across_the_32_bit_split(small_product, monkeypat
         assert [r.tolist() for r in rows] == _reference_rows(family, chunks)
 
 
-def test_hash_rows_mixes_cached_and_uncached_chunks(rng):
+def _count_hashed(monkeypatch):
+    """Record every chunk that a family hashes from here on."""
+    hashed = []
+    sums = HashFamily._sums
+
+    def counted(family, chunks):
+        hashed.extend(chunks)
+        return sums(family, chunks)
+
+    monkeypatch.setattr(HashFamily, "_sums", counted)
+    return hashed
+
+
+def _slab_family(monkeypatch, slab_rows, sketch_bits, max_chunk_len, seed):
+    monkeypatch.setattr(sketches, "_SLAB_BYTES", slab_rows * sketch_bits)
+    family = HashFamily.generate(sketch_bits, max_chunk_len, seed=seed)
+    assert family._slab_rows == slab_rows
+    return family
+
+
+def test_hash_rows_mixes_cached_and_uncached_chunks(rng, monkeypatch):
     family = HashFamily.generate(64, 6, seed=8)
-    chunks = _random_chunks(rng, 12, 6)
+    chunks = list(dict.fromkeys(_random_chunks(rng, 12, 6)))
     first = family.hash_rows(chunks[::2])
+    hashed = _count_hashed(monkeypatch)
     rows = family.hash_rows(chunks)
-    assert all(rows[2 * i] is row for i, row in enumerate(first))  # served from the cache
+    assert hashed == chunks[1::2]  # the cached chunks are not hashed again
+    assert rows[::2].tolist() == first.tolist()
     assert [r.tolist() for r in rows] == _reference_rows(family, chunks)
-    assert family.hash_values(chunks[1]) is rows[1]
+    assert family.hash_values(chunks[1]).tolist() == rows[1].tolist()
+    assert hashed == chunks[1::2]
 
 
 def test_cache_reset_inside_a_batch_keeps_every_value(rng, monkeypatch):
-    monkeypatch.setattr(sketches, "_CACHE_LIMIT", 3)
-    family = HashFamily.generate(32, 5, seed=4)
-    chunks = _random_chunks(rng, 9, 5)
+    family = _slab_family(monkeypatch, 3, 32, 5, seed=4)
+    chunks = list(dict.fromkeys(_random_chunks(rng, 6, 5)))[:4]
     family.hash_rows(chunks[:2])
-    # two cached chunks, then seven new ones: the cache resets while they
-    # are stored, after the cached ones were read
-    rows = family.hash_rows(chunks)
-    assert [r.tolist() for r in rows] == _reference_rows(family, chunks)
-    assert len(family._cache) <= 3
+    # one cached chunk, then two new ones that do not fit beside the two
+    # cached: the slab is cleared and the cached one is hashed again
+    hashed = _count_hashed(monkeypatch)
+    rows = family.hash_rows(chunks[1:])
+    assert hashed == chunks[1:]
+    assert [r.tolist() for r in rows] == _reference_rows(family, chunks[1:])
+    assert len(family._index) <= 3
     again = family.hash_rows(chunks)
     assert [r.tolist() for r in again] == _reference_rows(family, chunks)
+
+
+@pytest.mark.parametrize("slab_rows", [3, 7])
+def test_batch_larger_than_the_slab_keeps_every_value(rng, monkeypatch, slab_rows):
+    family = _slab_family(monkeypatch, slab_rows, 32, 5, seed=4)
+    chunks = _random_chunks(rng, 16, 5)
+    family.hash_rows(chunks[:2])
+    rows = family.hash_rows(chunks)
+    assert [r.tolist() for r in rows] == _reference_rows(family, chunks)
+    assert len(family._index) <= slab_rows
+    assert family.hash_rows(chunks[::-1]).tolist() == _reference_rows(family, chunks[::-1])
+    # a delta with more distinct chunks than the slab holds is folded in pieces
+    net = dict(zip(dict.fromkeys(chunks), [1, -2, 3, -1, 2, -3] * 3))
+    expected = sum(count * np.array(_reference_rows(family, [c])[0]) for c, count in net.items())
+    folded = apply_delta(fresh_state(32), family, ChunkDelta(net)).projection
+    assert folded.tolist() == expected.tolist()
+
+
+def test_held_values_survive_a_slab_clear(rng, monkeypatch):
+    family = _slab_family(monkeypatch, 3, 32, 5, seed=4)
+    chunks = list(dict.fromkeys(_random_chunks(rng, 10, 5)))
+    held = family.hash_values(chunks[0])
+    expected = held.copy()
+    for start in range(1, len(chunks), 2):  # fills the slab and clears it again
+        family.hash_rows(chunks[start : start + 2])
+    assert chunks[0] not in family._index
+    assert np.array_equal(held, expected)
+    assert held.tolist() == _reference_rows(family, chunks[:1])[0]
+
+
+@pytest.fixture(scope="module")
+def shared_families():
+    # one family per width for every example, so later examples find
+    # some of their chunks already in the slab
+    return {bits: HashFamily.generate(bits, 6, seed=bits) for bits in (100, 1000)}
+
+
+_CHUNKS = st.text(alphabet=string.ascii_letters[:6], min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    sketch_bits=st.sampled_from([100, 1000]),
+    base=st.dictionaries(_CHUNKS, st.integers(1, 3), max_size=20),
+    net=st.dictionaries(_CHUNKS, st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=1, max_size=64),
+)
+def test_apply_delta_equals_the_loop_fold_and_the_batch_difference(
+    shared_families, sketch_bits, base, net
+):
+    # 1..64 distinct chunks: both sides of the row count at which the fold
+    # switches from one np.add per chunk to one product
+    family = shared_families[sketch_bits]
+    state = batch_projection(base, family)
+    after = apply_delta(state, family, ChunkDelta(net)).projection
+    looped = state.projection.copy()
+    for chunk, count in net.items():
+        looped += count * family.hash_values(chunk).astype(np.int64)
+    assert after.tolist() == looped.tolist()
+    combined = dict(base)
+    for chunk, count in net.items():
+        combined[chunk] = combined.get(chunk, 0) + count
+    assert after.tolist() == batch_projection(combined, family).projection.tolist()
 
 
 def test_batch_projection_matches_scalar_sum(rng):
@@ -347,7 +436,7 @@ def test_batch_projection_matches_scalar_sum(rng):
     for chunk, count in counts.items():
         expected += count * np.array(_reference_rows(family, [chunk])[0])
     assert np.array_equal(batch_projection(counts, family).projection, expected)
-    assert family._cache == {}  # the batch path leaves the cache alone
+    assert family._index == {}  # the batch path leaves the slab alone
 
 
 def test_family_refuses_chunk_lengths_outside_the_exact_range():

@@ -17,6 +17,13 @@ def test_insert_under_capacity_reports_new_nodes():
     assert store.has_node((0, 3))
 
 
+def test_stored_edge_label_is_edge_type_then_dest_type_and_shared():
+    store = build_store([edge(1, "a", 2, "b", 1, "Y"), edge(3, "c", 4, "b", 2, "Y", graph_id=1)])
+    (first,), (second,) = store.out_edges((0, 1)), store.out_edges((1, 3))
+    assert first.label == second.label == "Yb"
+    assert first.label is second.label  # interned: one string per distinct label
+
+
 def test_eviction_picks_oldest_edge_of_least_recently_touched_node():
     # e1 touches a,b at seq 1; e2 touches c,d at seq 2; e3 touches a,d at
     # seq 3. Node b has the stalest touch (1); its only edge is e1.
