@@ -36,16 +36,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic labeled edge stream")
-    gen.add_argument("--classes", type=int, default=2, help="number of behavior classes")
-    gen.add_argument("--graphs-per-class", type=int, default=50)
-    gen.add_argument("--anomaly-fraction", type=float, default=0.05)
-    gen.add_argument("--avg-nodes", type=int, default=100)
-    gen.add_argument("--avg-edges", type=int, default=600)
+    gen.add_argument("--classes", type=int, default=GeneratorConfig.num_behavior_classes,
+                     help="number of behavior classes")
+    gen.add_argument("--graphs-per-class", type=int, default=GeneratorConfig.graphs_per_class)
+    gen.add_argument("--anomaly-fraction", type=float, default=GeneratorConfig.anomaly_fraction)
+    gen.add_argument("--avg-nodes", type=int, default=GeneratorConfig.avg_nodes)
+    gen.add_argument("--avg-edges", type=int, default=GeneratorConfig.avg_edges)
     gen.add_argument("--node-alphabet", default=None, help="node type symbols (default a-z)")
     gen.add_argument("--edge-alphabet", default=None, help="edge type symbols (default A-Z)")
-    gen.add_argument("-B", "--interleave-width", type=int, default=10,
+    gen.add_argument("-B", "--interleave-width", type=int,
+                     default=GeneratorConfig.interleave_width,
                      help="graphs evolving simultaneously")
-    gen.add_argument("--separation", type=float, default=0.8)
+    gen.add_argument("--separation", type=float, default=GeneratorConfig.separation)
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--out", required=True, help="test stream TSV path")
     gen.add_argument("--labels-out", required=True, help="sidecar labels TSV path")
@@ -57,11 +59,12 @@ def build_parser() -> argparse.ArgumentParser:
     boot = sub.add_parser("bootstrap", help="cluster a training stream into a model")
     boot.add_argument("-i", "--input", required=True, help="training stream TSV")
     boot.add_argument("--model-out", required=True)
-    boot.add_argument("--hops", type=int, default=1)
-    boot.add_argument("-L", "--sketch-bits", type=int, default=1000)
-    boot.add_argument("--chunk-lengths", type=_int_list, default=(4, 8, 16, 32),
+    boot.add_argument("--hops", type=int, default=RunConfig.hops)
+    boot.add_argument("-L", "--sketch-bits", type=int, default=RunConfig.sketch_bits)
+    boot.add_argument("--chunk-lengths", type=_int_list, default=RunConfig.candidate_chunk_lengths,
                       help="candidate chunk lengths, comma separated")
-    boot.add_argument("--cluster-counts", type=_int_list, default=(2, 3, 4, 5),
+    boot.add_argument("--cluster-counts", type=_int_list,
+                      default=RunConfig.candidate_cluster_counts,
                       help="candidate cluster counts, comma separated")
     boot.add_argument("--seed", type=int, required=True, help="clustering seed")
     boot.add_argument("--family-seed", type=int, required=True, help="hash family seed")
@@ -71,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("-i", "--input", required=True, help="test stream TSV")
     stream.add_argument("--labels", default=None, help="labels TSV for AP/AUC columns")
     stream.add_argument("--csv-out", required=True, help="snapshot CSV path")
-    stream.add_argument("-E", "--snapshot-interval", type=int, default=10_000)
+    stream.add_argument("-E", "--snapshot-interval", type=int, default=RunConfig.snapshot_interval)
     stream.add_argument("-N", "--max-edges", type=int, default=None,
                         help="resident edge cap (default unlimited)")
     stream.add_argument("--max-tracked-graphs", type=int, default=None,

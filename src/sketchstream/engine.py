@@ -36,7 +36,7 @@ from .generator import LABEL_ANOMALY, read_labels
 from .metrics import average_precision, roc_auc
 from .records import EdgeRecord, read_stream
 from .shingles import ChunkMemo, edge_delta
-from .sketches import HashFamily, SketchState, apply_delta, fresh_state
+from .sketches import MAX_EXACT_CHUNK_LEN, HashFamily, SketchState, apply_delta, fresh_state
 from .store import GraphStore
 
 MODEL_HEADER = "sketchstream model 1"
@@ -120,7 +120,15 @@ def save_model(model: ClusterModel, fp: IO[str]) -> None:
         fp.write(f"projection {q} {values}\n")
 
 
-_MODEL_FIELDS = ("sketch_bits", "chunk_length", "hops", "family_seed", "clusters")
+# The header fields in file order, each with the least and the greatest
+# value that a model may hold (None: no bound).
+_MODEL_FIELDS = {
+    "sketch_bits": (1, None),
+    "chunk_length": (1, MAX_EXACT_CHUNK_LEN),
+    "hops": (1, None),
+    "family_seed": (0, None),
+    "clusters": (1, None),
+}
 
 
 def load_model(fp: IO[str]) -> ClusterModel:
@@ -135,13 +143,13 @@ def load_model(fp: IO[str]) -> ClusterModel:
     if not lines or lines[0] != MODEL_HEADER:
         raise _model_error(1, "not a recognized model file")
     fields: dict[str, int] = {}
-    for line_no, key in enumerate(_MODEL_FIELDS, start=2):
+    for line_no, (key, bounds) in enumerate(_MODEL_FIELDS.items(), start=2):
         if line_no > len(lines):
             raise _model_error(line_no, f"missing {key}")
         name, _, value = lines[line_no - 1].partition(" ")
         if name != key:
             raise _model_error(line_no, f"expected {key}, found {name!r}")
-        fields[key] = _model_value(int, value, line_no, 0 if key == "family_seed" else 1)
+        fields[key] = _model_value(int, value, line_no, *bounds)
     n_clusters = fields["clusters"]
     sketch_bits = fields["sketch_bits"]
     expected = 6 + 2 * n_clusters
@@ -157,7 +165,7 @@ def load_model(fp: IO[str]) -> ClusterModel:
         parts = lines[line_no - 1].split(" ")
         if len(parts) != 6 or parts[:3] != ["cluster", str(q), "size"] or parts[4] != "threshold":
             raise _model_error(line_no, f"expected 'cluster {q} size <n> threshold <t>'")
-        sizes.append(_model_value(int, parts[3], line_no, 0))
+        sizes.append(_model_value(int, parts[3], line_no, 0, 2**63 - 1))  # held as int64
         thresholds.append(_model_value(float, parts[5], line_no))
     # Every row is checked before an array exists: a bad width allocates nothing.
     for q in range(n_clusters):
@@ -177,15 +185,19 @@ def _model_error(line_no: int, message: str) -> ValueError:
     return ValueError(f"model file line {line_no}: {message}")
 
 
-def _model_value(kind: type, text: str, line_no: int, minimum: int | None = None):
+def _model_value(
+    kind: type, text: str, line_no: int, minimum: int | None = None, maximum: int | None = None
+):
     try:
         value = kind(text)
     except ValueError:
         raise _model_error(line_no, f"{text!r} is not a valid {kind.__name__}") from None
-    if not math.isfinite(value):
+    if kind is float and not math.isfinite(value):
         raise _model_error(line_no, f"{text!r} is not finite")
     if minimum is not None and value < minimum:
         raise _model_error(line_no, f"{value} is below {minimum}")
+    if maximum is not None and value > maximum:
+        raise _model_error(line_no, f"{value} is above {maximum}")
     return value
 
 

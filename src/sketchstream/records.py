@@ -2,8 +2,10 @@
 
 One edge per line, seven tab-separated fields in this order: source id,
 source type, destination id, destination type, timestamp, edge type,
-graph id. Ids and timestamps are decimal non-negative integers; type
-symbols are single printable ASCII characters. Lines are LF terminated.
+graph id. Ids and timestamps are decimal non-negative integers written
+in ASCII digits alone, with no sign, space or underscore; type symbols
+are single printable ASCII characters. Lines are LF terminated; a CR
+before the LF is part of the last field, which then fails to parse.
 """
 
 from __future__ import annotations
@@ -12,17 +14,6 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
 FIELD_SEPARATOR = "\t"
-
-_FIELD_NAMES = (
-    "source_id",
-    "source_type",
-    "dest_id",
-    "dest_type",
-    "timestamp",
-    "edge_type",
-    "graph_id",
-)
-_INT_FIELDS = {"source_id", "dest_id", "timestamp", "graph_id"}
 
 
 class ParseError(ValueError):
@@ -37,11 +28,6 @@ class ParseError(ValueError):
         super().__init__(prefix + message)
         self.line_no = line_no
         self.field = field
-
-
-def _valid_symbol(symbol: str) -> bool:
-    # Single printable ASCII character, excluding the field separator.
-    return len(symbol) == 1 and symbol != FIELD_SEPARATOR and 0x20 <= ord(symbol) <= 0x7E
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,31 +47,37 @@ def parse_edge(line: str, line_no: int | None = None) -> EdgeRecord:
     """Parse one wire-format line into an :class:`EdgeRecord`.
 
     Raises :class:`ParseError` naming the offending line and field on a
-    wrong field count, a non-integer id or timestamp, or a type symbol
-    that is not a single printable ASCII character.
+    wrong field count, an id or timestamp that is not a string of ASCII
+    digits, or a type symbol that is not a single printable ASCII
+    character.
     """
     fields = line.rstrip("\n").split(FIELD_SEPARATOR)
-    if len(fields) != len(_FIELD_NAMES):
-        raise ParseError(
-            f"{len(fields)} fields, expected {len(_FIELD_NAMES)}", line_no=line_no
-        )
-    values: dict[str, int | str] = {}
-    for name, raw in zip(_FIELD_NAMES, fields):
-        if name in _INT_FIELDS:
-            try:
-                value = int(raw)
-            except ValueError:
-                raise ParseError(f"{raw!r} is not an integer", line_no, name) from None
-            if value < 0:
-                raise ParseError(f"{value} is negative", line_no, name)
-            values[name] = value
-        else:
-            if not _valid_symbol(raw):
-                raise ParseError(
-                    f"{raw!r} is not a single printable ASCII symbol", line_no, name
-                )
-            values[name] = raw
-    return EdgeRecord(**values)  # type: ignore[arg-type]
+    try:
+        source_id, source_type, dest_id, dest_type, timestamp, edge_type, graph_id = fields
+    except ValueError:
+        raise ParseError(f"{len(fields)} fields, expected 7", line_no=line_no) from None
+    return EdgeRecord(
+        _number(source_id, line_no, "source_id"),
+        _symbol(source_type, line_no, "source_type"),
+        _number(dest_id, line_no, "dest_id"),
+        _symbol(dest_type, line_no, "dest_type"),
+        _number(timestamp, line_no, "timestamp"),
+        _symbol(edge_type, line_no, "edge_type"),
+        _number(graph_id, line_no, "graph_id"),
+    )
+
+
+def _number(raw: str, line_no: int | None, field: str) -> int:
+    # isdigit alone also takes non-ASCII digits such as "\u0661".
+    if raw.isascii() and raw.isdigit():
+        return int(raw)
+    raise ParseError(f"{raw!r} is not a decimal non-negative integer", line_no, field)
+
+
+def _symbol(raw: str, line_no: int | None, field: str) -> str:
+    if len(raw) == 1 and " " <= raw <= "~":
+        return raw
+    raise ParseError(f"{raw!r} is not a single printable ASCII symbol", line_no, field)
 
 
 def format_edge(rec: EdgeRecord) -> str:

@@ -8,11 +8,11 @@ coefficient i+1 times the ASCII code of character i, all in wrapping
 :meth:`HashFamily.hash_chunk` evaluates one function with Python integers
 and is the reference.
 
-:meth:`HashFamily.hash_rows` evaluates every function on a batch of
-chunks with one float64 matrix product and gives exactly the reference
-values. Each coefficient is split into a low and a high 32-bit half.
-Every chunk becomes a row of codes: 1 for the constant coefficient, then
-its characters, then 0 up to the batch's longest chunk. The rows are
+:meth:`HashFamily._sums` evaluates every function on a block of chunks
+with one float64 matrix product and gives exactly the reference values.
+Each coefficient is split into a low and a high 32-bit half. Every chunk
+becomes a row of codes: 1 for the constant coefficient, then its
+characters, then 0 up to the block's longest chunk. The rows are
 multiplied by both halves at once. A character code is at most 127, so
 each product is below 2**39, and a row of at most 2**14 characters sums
 to less than 2**32 * (1 + 127 * 2**14) < 2**53. Below 2**53 float64
@@ -27,19 +27,19 @@ would cost more than its arithmetic, such as one new chunk at L=100, is
 multiplied in numpy's own ``uint64`` loop instead, which wraps mod 2**64
 and needs no split.
 
-Each family caches hashed chunks in one preallocated int8 slab of
-``_SLAB_BYTES`` bytes, one row of ``sketch_bits`` bytes per chunk, with a
-dict from chunk to row. The signs of a hashed block are written into the
-slab at once. When a batch's new chunks do not fit, the slab is cleared
-all at once and refilled; it only memoises, so no output depends on its
-size. ``hash_rows`` returns a copy of the rows, which no later clear can
-change; ``batch_projection`` hashes a whole vector block by block,
-without the slab.
-
-``apply_delta`` folds a delta of a few chunks with one ``np.add`` per
-chunk, and a larger one as one float64 product of its signed counts with
-its slab rows. That product is exact: every partial sum is an integer
-no larger in magnitude than the delta's total count, far below 2**53.
+:meth:`HashFamily.fold` adds a map of signed chunk counts into a
+projection, and it is the only reader of the family's cache: one
+preallocated int8 slab of ``_SLAB_BYTES`` bytes, one row of
+``sketch_bits`` bytes per chunk, with a dict from chunk to row. The signs
+of a hashed block are written into the slab at once. When a map's new
+chunks do not fit, the slab is cleared all at once and refilled; it only
+memoises, so no output depends on its size. A map of a few chunks is
+folded with one ``np.add`` per chunk, a larger one as one float64 product
+of its counts with its slab rows. A map with more distinct chunks than
+the slab holds skips the slab and is folded by the uncached block
+product of ``batch_projection``. Each product is exact: every partial
+sum is an integer no larger in magnitude than the map's total count, far
+below 2**53. ``hash_values`` hashes one chunk without the slab.
 
 A graph's projection vector accumulates, per function, the signed count
 of chunks hashed so far; its sketch is the sign pattern of the projection
@@ -88,7 +88,7 @@ class HashFamily:
 
     __slots__ = (
         "coefficients", "sketch_bits", "max_chunk_len", "seed", "_halves", "_block_rows",
-        "_slab", "_slab_rows", "_index",
+        "_slab", "_index",
     )
 
     def __init__(self, coefficients: np.ndarray, seed: int):
@@ -110,8 +110,7 @@ class HashFamily:
         # Cached values, one int8 row per chunk; pages are touched only as
         # rows are written. ``_index`` maps a chunk to its row, and rows
         # 0 .. len(_index) - 1 are in use.
-        self._slab_rows = max(1, _SLAB_BYTES // self.sketch_bits)
-        self._slab = np.empty((self._slab_rows, self.sketch_bits), dtype=np.int8)
+        self._slab = np.empty((max(1, _SLAB_BYTES // self.sketch_bits), self.sketch_bits), np.int8)
         self._index: dict[str, int] = {}
 
     @classmethod
@@ -140,36 +139,49 @@ class HashFamily:
         return 2 * (total % 2) - 1
 
     def hash_values(self, chunk: str) -> np.ndarray:
-        """±1 values of every function on ``chunk``; the one-chunk :meth:`hash_rows`."""
-        return self.hash_rows((chunk,))[0]
+        """±1 values (int8, an array of its own) of every function on ``chunk``.
 
-    def hash_rows(self, chunks: Sequence[str]) -> np.ndarray:
-        """±1 values (int8, one row per chunk) of every function on each chunk.
-
-        The result is an array of its own, so a later slab clear cannot
-        change it. A batch larger than the slab is looked up in pieces.
+        Hashes the chunk again on every call and leaves the slab alone.
         """
-        out = np.empty((len(chunks), self.sketch_bits), dtype=np.int8)
-        step = self._slab_rows
-        for start in range(0, len(chunks), step):
-            out[start : start + step] = self._slab[self._rows(chunks[start : start + step])]
-        return out
+        return _signs(self._sums((chunk,)))[0]
+
+    def fold(self, projection: np.ndarray, counts: Mapping[str, int]) -> None:
+        """Add the signed chunk counts ``counts`` into ``projection`` (int64, in place).
+
+        The uncached chunks are hashed together into the slab. A map with
+        more distinct chunks than the slab holds is projected without it.
+        """
+        if len(counts) > len(self._slab):
+            projection += _project(counts, self)
+            return
+        rows = self._rows(counts)
+        slab = self._slab
+        if len(rows) > _LOOP_ROWS:
+            weights = np.fromiter(counts.values(), dtype=np.float64, count=len(rows))
+            projection += _weighted_sum(weights, slab[rows])
+            return
+        for row, count in zip(rows, counts.values()):
+            if count == 1:
+                np.add(projection, slab[row], out=projection)
+            elif count == -1:
+                np.subtract(projection, slab[row], out=projection)
+            else:
+                np.add(projection, slab[row].astype(np.int64) * count, out=projection)
 
     def _rows(self, chunks: Collection[str]) -> list[int]:
-        """Slab rows that hold the values of ``chunks``, at most ``_slab_rows`` distinct.
+        """Slab rows that hold the values of distinct ``chunks``, no more than the slab holds.
 
         Chunks not in the slab are hashed together, one product per block
         of rows. When they do not fit, the slab is cleared first and every
-        chunk of the batch is hashed again, so all the rows returned stay
-        valid until the next call.
+        chunk is hashed again, so all the rows returned stay valid until
+        the next call.
         """
         index = self._index
         missing = [chunk for chunk in chunks if chunk not in index]
         if missing:
-            if len(index) + len(missing) > self._slab_rows:
+            if len(index) + len(missing) > len(self._slab):
                 index.clear()
-                missing = chunks
-            missing = list(dict.fromkeys(missing))
+                missing = list(chunks)
             base = len(index)
             step = self._block_rows
             for start in range(0, len(missing), step):
@@ -246,45 +258,22 @@ def fresh_state(sketch_bits: int) -> SketchState:
 
 
 def apply_delta(state: SketchState, family: HashFamily, delta: ChunkDelta) -> SketchState:
-    """State after folding a chunk delta into ``state``, which is left unchanged.
-
-    All of the delta's chunks are looked up in one call, so its uncached
-    ones share one product.
-    """
-    net = delta.net
+    """State after folding a chunk delta into ``state``, which is left unchanged."""
     projection = state.projection.copy()
-    step = family._slab_rows
-    if len(net) <= step:
-        _fold(projection, family, net)
-    else:  # more distinct chunks than the slab holds: fold in pieces
-        items = list(net.items())
-        for start in range(0, len(items), step):
-            _fold(projection, family, dict(items[start : start + step]))
+    family.fold(projection, delta.net)
     return SketchState(projection)
-
-
-def _fold(projection: np.ndarray, family: HashFamily, net: dict[str, int]) -> None:
-    """Add the signed counts ``net`` of at most ``_slab_rows`` chunks into ``projection``."""
-    rows = family._rows(net)
-    slab = family._slab
-    if len(rows) > _LOOP_ROWS:
-        weights = np.fromiter(net.values(), dtype=np.float64, count=len(rows))
-        projection += _weighted_sum(weights, slab[rows])
-        return
-    for row, count in zip(rows, net.values()):
-        if count == 1:
-            np.add(projection, slab[row], out=projection)
-        elif count == -1:
-            np.subtract(projection, slab[row], out=projection)
-        else:
-            np.add(projection, slab[row].astype(np.int64) * count, out=projection)
 
 
 def batch_projection(counts: Mapping[str, int], family: HashFamily) -> SketchState:
     """Project a whole chunk-frequency vector at once; oracle for apply_delta.
 
-    Hashes one block of rows at a time and leaves the family's slab alone.
+    Leaves the family's slab alone.
     """
+    return SketchState(_project(counts, family))
+
+
+def _project(counts: Mapping[str, int], family: HashFamily) -> np.ndarray:
+    """Projection (int64) of signed chunk counts, hashed one block of rows at a time."""
     chunks = list(counts)
     weights = np.fromiter(counts.values(), dtype=np.float64, count=len(chunks))
     projection = np.zeros(family.sketch_bits, dtype=np.int64)
@@ -292,7 +281,7 @@ def batch_projection(counts: Mapping[str, int], family: HashFamily) -> SketchSta
     for start in range(0, len(chunks), step):
         values = _signs(family._sums(chunks[start : start + step]))
         projection += _weighted_sum(weights[start : start + step], values)
-    return SketchState(projection)
+    return projection
 
 
 def _weighted_sum(weights: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -1,8 +1,9 @@
 """The program surface that the benchmark under ``perfbench/`` relies on.
 
-The benchmark wraps named functions and methods (``perfbench/spans.py``)
-and reads attributes off the result of ``run_stream``
-(``perfbench/worker.py``). Its own self-tests are slow and live outside
+The benchmark wraps named functions and methods (``perfbench/spans.py``),
+reads attributes off the result of ``run_stream``
+(``perfbench/worker.py``) and checks its own hash reference against
+``HashFamily.hash_values`` (``perfbench/tests``). Its own self-tests are slow and live outside
 this suite, so these fast checks catch a rename or a removed attribute
 here first.
 """
@@ -13,7 +14,9 @@ import ast
 import importlib.util
 from pathlib import Path
 
-from sketchstream import run_bootstrap, run_stream
+import numpy as np
+
+from sketchstream import HashFamily, run_bootstrap, run_stream
 
 from test_engine import lines_of, small_config, small_dataset
 
@@ -74,3 +77,11 @@ def test_stream_result_has_what_the_worker_reads():
         eval(expression, {"result": result})  # raises AttributeError if a name is gone
     assert result.states
     assert all(state.projection.shape == (model.sketch_bits,) for state in result.states.values())
+
+
+def test_hash_values_is_one_signed_byte_per_function():
+    family = HashFamily.generate(64, 8, 77)
+    for chunk in ("a", "bQc", "zZzZzZzZ"):
+        values = family.hash_values(chunk)
+        assert values.dtype == np.int8 and values.shape == (64,)
+        assert set(values.tolist()) <= {-1, 1}

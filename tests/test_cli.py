@@ -1,6 +1,7 @@
 import pytest
 
-from sketchstream.cli import main
+from sketchstream import GeneratorConfig, RunConfig
+from sketchstream.cli import build_parser, main
 from sketchstream.engine import MODEL_HEADER
 
 
@@ -141,3 +142,50 @@ def test_cli_rejects_bad_int_list(capsys):
     with pytest.raises(SystemExit):
         run_cli("bootstrap", "-i", "x", "--model-out", "y",
                 "--chunk-lengths", "a,b", "--seed", 1, "--family-seed", 2)
+
+
+# Each command's options that set a config field: option dest -> field.
+_CONFIG_OPTIONS = [
+    (
+        ["generate", "--seed", "1", "--out", "t", "--labels-out", "l"],
+        GeneratorConfig(),
+        {
+            "classes": "num_behavior_classes",
+            "graphs_per_class": "graphs_per_class",
+            "anomaly_fraction": "anomaly_fraction",
+            "avg_nodes": "avg_nodes",
+            "avg_edges": "avg_edges",
+            "interleave_width": "interleave_width",
+            "separation": "separation",
+        },
+    ),
+    (
+        ["bootstrap", "-i", "t", "--model-out", "m", "--seed", "1", "--family-seed", "2"],
+        RunConfig(),
+        {
+            "hops": "hops",
+            "sketch_bits": "sketch_bits",
+            "chunk_lengths": "candidate_chunk_lengths",
+            "cluster_counts": "candidate_cluster_counts",
+        },
+    ),
+    (
+        ["stream", "--model", "m", "-i", "t", "--csv-out", "c"],
+        RunConfig(),
+        {
+            "snapshot_interval": "snapshot_interval",
+            "max_edges": "max_edges",
+            "max_tracked_graphs": "max_tracked_graphs",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,config,options", _CONFIG_OPTIONS, ids=[argv[0] for argv, _, _ in _CONFIG_OPTIONS]
+)
+def test_parser_defaults_are_the_config_defaults(argv, config, options):
+    args = build_parser().parse_args(argv)
+    assert {dest: getattr(args, dest) for dest in options} == {
+        dest: getattr(config, field) for dest, field in options.items()
+    }

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import sketchstream.engine as engine
 from sketchstream import (
@@ -145,6 +147,10 @@ def test_truncated_model_file_raises_value_error(model_text):
         (10, lambda line: line + "\nprojection 1 0.5", 11),
         pytest.param(7, lambda line: line.rsplit(" ", 1)[0] + " nan", 7, id="threshold-nan"),
         pytest.param(10, lambda line: line.rsplit(" ", 1)[0] + " inf", 10, id="projection-inf"),
+        pytest.param(3, lambda line: "chunk_length 20000", 3, id="chunk-length-inexact"),
+        pytest.param(
+            7, lambda line: line.replace(" size ", " size 9" + "0" * 19 + "0"), 7, id="size-beyond-int64"
+        ),
     ],
 )
 def test_corrupt_model_file_names_the_line(model_text, line_no, edit, named_line):
@@ -152,6 +158,43 @@ def test_corrupt_model_file_names_the_line(model_text, line_no, edit, named_line
     lines[line_no - 1] = edit(lines[line_no - 1])
     with pytest.raises(ValueError, match=rf"^model file line {named_line}: "):
         load_model(io.StringIO("\n".join(lines) + "\n"))
+
+
+_TOKENS = st.one_of(
+    st.integers(-3, 40_000).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", "x", "+1", "1_0", "\u0661", "1e309", "-0", "9" * 40, "9" * 400, "cluster", "\t"]),
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_a_model_file_with_one_mutated_line_fails_cleanly_or_round_trips(model_text, data):
+    lines = model_text.splitlines()
+    line_no = data.draw(st.integers(1, len(lines)), label="line_no")
+    tokens = lines[line_no - 1].split(" ")
+    position = data.draw(st.integers(0, len(tokens)), label="position")
+    edit = data.draw(st.sampled_from(["replace", "insert", "delete", "line"]), label="edit")
+    if edit == "line":
+        lines[line_no - 1] = data.draw(st.text(max_size=20), label="text")
+    elif edit == "delete":
+        del tokens[min(position, len(tokens) - 1)]
+    else:
+        if edit == "replace" and position < len(tokens):
+            del tokens[position]
+        tokens.insert(position, data.draw(_TOKENS, label="token"))
+    if edit != "line":
+        lines[line_no - 1] = " ".join(tokens)
+    try:
+        model = load_model(io.StringIO("\n".join(lines) + "\n"))
+    except ValueError as exc:
+        assert str(exc).startswith("model file line ")
+        return
+    first = io.StringIO()
+    save_model(model, first)
+    second = io.StringIO()
+    save_model(load_model(io.StringIO(first.getvalue())), second)
+    assert second.getvalue() == first.getvalue()
 
 
 def test_stream_of_known_graph_scores_below_threshold():

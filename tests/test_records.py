@@ -1,8 +1,12 @@
+from dataclasses import astuple
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sketchstream import EdgeRecord, ParseError, format_edge, parse_edge, read_stream
+
+_NUMBERS = (0, 2, 4, 6)  # positions of the ids and the timestamp
 
 
 def test_parse_simple_line():
@@ -33,6 +37,13 @@ def test_parse_error_carries_line_number():
         ("1\ta\t2\tb\t5\tx\t-1", "graph_id"),
         ("1\t\t2\tb\t5\tx\t0", "source_type"),
         ("1\ta\t2\tb\t5\t\tx\t0", None),  # embedded tab bumps the field count
+        # int() would take each of these
+        ("+1\ta\t2\tb\t5\tx\t0", "source_id"),
+        ("1\ta\t 2\tb\t5\tx\t0", "dest_id"),
+        ("1\ta\t2\tb\t5 \tx\t0", "timestamp"),
+        ("1\ta\t2\tb\t1_0\tx\t0", "timestamp"),
+        ("1\ta\t2\tb\t5\tx\t\u0661", "graph_id"),
+        ("1\ta\t2\tb\t5\tx\t0\r\n", "graph_id"),
     ],
 )
 def test_parse_rejects_bad_fields(line, field):
@@ -70,3 +81,38 @@ def test_format_parse_round_trip(**fields):
     line = format_edge(rec)
     assert line.endswith("\n")
     assert parse_edge(line) == rec
+
+
+_VALID_FIELDS = ("12", "a", "3", "b", "40", "X", "5")
+_BAD_PIECES = st.sampled_from([
+    "+1", "-1", " 1", "1 ", "1_0", "\u0661", "\uff11", "0\r", "\r",
+    "", " ", "\t", "1\t2", "ab", "\x7f", "\xe9",
+])
+
+
+@settings(max_examples=400)
+@given(
+    edits=st.lists(
+        st.tuples(st.integers(0, 7), st.one_of(_BAD_PIECES, st.text(max_size=3))), max_size=3
+    ),
+    end=st.sampled_from(["\n", "\r\n", "", "\n\n"]),
+)
+def test_parse_edge_enforces_the_wire_contract(edits, end):
+    # a valid line with up to three fields replaced; position 7 appends one
+    fields = list(_VALID_FIELDS)
+    for position, piece in edits:
+        fields[position : position + 1] = [piece]
+    line = "\t".join(fields) + end
+    try:
+        rec = parse_edge(line, line_no=9)
+    except ParseError as exc:
+        assert str(exc).startswith("line 9: ")
+        return
+    raw = line.rstrip("\n").split("\t")
+    assert len(raw) == 7
+    for i in _NUMBERS:
+        assert raw[i].isascii() and raw[i].isdigit()
+    values = astuple(rec)
+    assert [values[i] for i in _NUMBERS] == [int(raw[i]) for i in _NUMBERS]
+    for i in (1, 3, 5):
+        assert len(values[i]) == 1 and 0x20 <= ord(values[i]) <= 0x7E

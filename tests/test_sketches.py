@@ -72,6 +72,7 @@ def test_hash_values_matches_scalar_path():
         chunk = "".join(letters[int(i)] for i in rng.integers(0, len(letters), n))
         expected = [family.hash_chunk(l, chunk) for l in range(32)]
         assert family.hash_values(chunk).tolist() == expected
+    assert family._index == {}  # one-chunk hashing leaves the slab alone
 
 
 def test_wrapping_matches_unbounded_parity():
@@ -282,16 +283,37 @@ def _random_chunks(rng, count, max_len, alphabet=string.printable[:95]):
     ]
 
 
-def test_hash_rows_matches_scalar_path_on_mixed_lengths(rng):
+def _weights(chunks):
+    """Counts of signed powers of two: a folded sum of ±1 values with these
+    weights determines every chunk's values, so it is right only if each is."""
+    return {chunk: (-2) ** i for i, chunk in enumerate(dict.fromkeys(chunks))}
+
+
+def _folded(family, counts):
+    projection = np.zeros(family.sketch_bits, dtype=np.int64)
+    family.fold(projection, counts)
+    return projection.tolist()
+
+
+def _reference_fold(family, counts):
+    total = np.zeros(family.sketch_bits, dtype=np.int64)
+    for chunk, count in counts.items():
+        total += count * np.array(_reference_rows(family, [chunk])[0])
+    return total.tolist()
+
+
+def test_fold_matches_scalar_path_on_mixed_lengths(rng):
     # more chunks than one block holds at L=1000, lengths 1..max_chunk_len
     family = HashFamily.generate(1000, 12, seed=21)
     chunks = _random_chunks(rng, 30, 12) + ["~" * 12, "~", "a" * 12]
     assert max(map(len, chunks)) == family.max_chunk_len
-    rows = family.hash_rows(chunks)
-    assert [row.tolist() for row in rows] == _reference_rows(family, chunks)
-    assert rows.dtype == np.int8 and rows.flags.owndata  # the caller's own values
-    rows[:] = 0  # writing to them leaves the cached values alone
-    assert family.hash_rows(chunks).tolist() == _reference_rows(family, chunks)
+    counts = _weights(chunks)
+    assert _folded(family, counts) == _reference_fold(family, counts)
+    assert _folded(family, counts) == _reference_fold(family, counts)  # from the slab
+    values = family.hash_values(chunks[0])
+    assert values.dtype == np.int8 and values.shape == (1000,)
+    values[:] = 0  # writing to them leaves the cached values alone
+    assert _folded(family, counts) == _reference_fold(family, counts)
 
 
 def _reference_sums(family, chunks):
@@ -315,8 +337,9 @@ def test_batched_sums_are_exact_across_the_32_bit_split(small_product, monkeypat
     chunks = ["~" * 8, "~", "}~|~{~z~", "\x7f" * 8, " !~"]
     for family in (HashFamily(table, seed=0), HashFamily.generate(16, 8, seed=3)):
         assert family._sums(chunks).tolist() == _reference_sums(family, chunks)
-        rows = family.hash_rows(chunks)
-        assert [r.tolist() for r in rows] == _reference_rows(family, chunks)
+        assert [family.hash_values(c).tolist() for c in chunks] == _reference_rows(family, chunks)
+        counts = _weights(chunks)
+        assert _folded(family, counts) == _reference_fold(family, counts)
 
 
 def _count_hashed(monkeypatch):
@@ -335,61 +358,67 @@ def _count_hashed(monkeypatch):
 def _slab_family(monkeypatch, slab_rows, sketch_bits, max_chunk_len, seed):
     monkeypatch.setattr(sketches, "_SLAB_BYTES", slab_rows * sketch_bits)
     family = HashFamily.generate(sketch_bits, max_chunk_len, seed=seed)
-    assert family._slab_rows == slab_rows
+    assert len(family._slab) == slab_rows
     return family
 
 
-def test_hash_rows_mixes_cached_and_uncached_chunks(rng, monkeypatch):
+def test_fold_mixes_cached_and_uncached_chunks(rng, monkeypatch):
     family = HashFamily.generate(64, 6, seed=8)
     chunks = list(dict.fromkeys(_random_chunks(rng, 12, 6)))
-    first = family.hash_rows(chunks[::2])
+    _folded(family, _weights(chunks[::2]))
     hashed = _count_hashed(monkeypatch)
-    rows = family.hash_rows(chunks)
+    counts = _weights(chunks)
+    assert _folded(family, counts) == _reference_fold(family, counts)
     assert hashed == chunks[1::2]  # the cached chunks are not hashed again
-    assert rows[::2].tolist() == first.tolist()
-    assert [r.tolist() for r in rows] == _reference_rows(family, chunks)
-    assert family.hash_values(chunks[1]).tolist() == rows[1].tolist()
+    assert _folded(family, counts) == _reference_fold(family, counts)
     assert hashed == chunks[1::2]
 
 
 def test_cache_reset_inside_a_batch_keeps_every_value(rng, monkeypatch):
     family = _slab_family(monkeypatch, 3, 32, 5, seed=4)
     chunks = list(dict.fromkeys(_random_chunks(rng, 6, 5)))[:4]
-    family.hash_rows(chunks[:2])
+    _folded(family, _weights(chunks[:2]))
     # one cached chunk, then two new ones that do not fit beside the two
     # cached: the slab is cleared and the cached one is hashed again
     hashed = _count_hashed(monkeypatch)
-    rows = family.hash_rows(chunks[1:])
+    counts = _weights(chunks[1:])
+    assert _folded(family, counts) == _reference_fold(family, counts)
     assert hashed == chunks[1:]
-    assert [r.tolist() for r in rows] == _reference_rows(family, chunks[1:])
-    assert len(family._index) <= 3
-    again = family.hash_rows(chunks)
-    assert [r.tolist() for r in again] == _reference_rows(family, chunks)
+    assert sorted(family._index) == sorted(chunks[1:])
+    again = _weights(chunks[::-1])
+    assert _folded(family, again) == _reference_fold(family, again)
 
 
 @pytest.mark.parametrize("slab_rows", [3, 7])
 def test_batch_larger_than_the_slab_keeps_every_value(rng, monkeypatch, slab_rows):
     family = _slab_family(monkeypatch, slab_rows, 32, 5, seed=4)
     chunks = _random_chunks(rng, 16, 5)
-    family.hash_rows(chunks[:2])
-    rows = family.hash_rows(chunks)
-    assert [r.tolist() for r in rows] == _reference_rows(family, chunks)
-    assert len(family._index) <= slab_rows
-    assert family.hash_rows(chunks[::-1]).tolist() == _reference_rows(family, chunks[::-1])
-    # a delta with more distinct chunks than the slab holds is folded in pieces
+    _folded(family, _weights(chunks[:2]))
+    cached = dict(family._index)
+    # more distinct chunks than the slab holds: folded without the slab
+    counts = _weights(chunks)
+    assert len(counts) > slab_rows
+    assert _folded(family, counts) == _reference_fold(family, counts)
+    assert family._index == cached
+    counts = _weights(chunks[::-1])
+    assert _folded(family, counts) == _reference_fold(family, counts)
     net = dict(zip(dict.fromkeys(chunks), [1, -2, 3, -1, 2, -3] * 3))
-    expected = sum(count * np.array(_reference_rows(family, [c])[0]) for c, count in net.items())
     folded = apply_delta(fresh_state(32), family, ChunkDelta(net)).projection
-    assert folded.tolist() == expected.tolist()
+    assert folded.tolist() == _reference_fold(family, net)
+    # a map that fits still goes through the slab, which stays within its rows
+    counts = _weights(chunks[-slab_rows:])
+    assert _folded(family, counts) == _reference_fold(family, counts)
+    assert set(counts) <= set(family._index) and len(family._index) <= slab_rows
 
 
 def test_held_values_survive_a_slab_clear(rng, monkeypatch):
     family = _slab_family(monkeypatch, 3, 32, 5, seed=4)
     chunks = list(dict.fromkeys(_random_chunks(rng, 10, 5)))
+    _folded(family, {chunks[0]: 1})
     held = family.hash_values(chunks[0])
     expected = held.copy()
     for start in range(1, len(chunks), 2):  # fills the slab and clears it again
-        family.hash_rows(chunks[start : start + 2])
+        _folded(family, _weights(chunks[start : start + 2]))
     assert chunks[0] not in family._index
     assert np.array_equal(held, expected)
     assert held.tolist() == _reference_rows(family, chunks[:1])[0]
@@ -451,7 +480,8 @@ def test_family_refuses_chunk_lengths_outside_the_exact_range():
     chunk = "~" * MAX_EXACT_CHUNK_LEN
     assert family._sums([chunk]).tolist() == _reference_sums(family, [chunk])
     assert family.hash_values(chunk).tolist() == _reference_rows(family, [chunk])[0]
-    with pytest.raises(ValueError):
-        family.hash_rows(["ok", "~" * (MAX_EXACT_CHUNK_LEN + 1)])
-    with pytest.raises(ValueError):
-        family.hash_rows(["ok", ""])
+    for bad in ("~" * (MAX_EXACT_CHUNK_LEN + 1), ""):
+        with pytest.raises(ValueError):
+            family.fold(np.zeros(2, dtype=np.int64), {"ok": 1, bad: 1})
+        with pytest.raises(ValueError):
+            family.hash_values(bad)
