@@ -13,7 +13,6 @@ from .clustering import (
     BootstrapReport,
     ClusterModel,
     bootstrap_model,
-    build_model,
     kmedoids,
     pairwise_entropy,
     pick_chunk_length,

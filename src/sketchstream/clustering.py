@@ -1,12 +1,14 @@
 """Bootstrap clustering and streaming cluster maintenance.
 
-Bootstrapping picks a chunk length by the entropy of pairwise distances,
-groups training graphs with k-medoids at the cluster count maximizing the
-silhouette, and turns each cluster into a centroid: the running mean of
-its members' projection vectors, its sign sketch, and an anomaly
-threshold of mean plus three standard deviations of the member-to-centroid
-sketch distances (a one-sided tail bound caps the false-positive rate at
-10%).
+Bootstrapping (:func:`bootstrap_model`) clusters every graph of a store.
+It builds one exact-cosine distance matrix per candidate chunk length,
+with each vector's squared norm taken once, and picks a chunk length by
+the entropy of the distances (a lone candidate is its own pick). It groups
+the graphs with k-medoids at the cluster count maximizing the silhouette,
+and turns each cluster into a centroid: the running mean of its members'
+projection vectors, its sign sketch, and an anomaly threshold of mean plus
+three standard deviations of the member-to-centroid sketch distances (a
+one-sided tail bound caps the false-positive rate at 10%).
 
 In streaming mode the model keeps each tracked graph's latest sketch
 state, so it can take out of a mean exactly what it folded in. Every
@@ -19,14 +21,13 @@ means because the incremental updates divide by cluster sizes.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .shingles import chunk_shingle, exact_cosine_distance, node_shingle
+from .shingles import _cosine, _dot, _squared_norm, chunk_shingle, node_shingle
 from .sketches import (
     HashFamily,
     SketchState,
@@ -58,12 +59,17 @@ def pairwise_entropy(distances: Sequence[float], bins: int) -> float:
 
 
 def pairwise_distance_matrix(vectors: Sequence[Counter]) -> np.ndarray:
-    """Symmetric exact-cosine distance matrix with zero diagonal."""
+    """Symmetric exact-cosine distance matrix with zero diagonal.
+
+    Entry (i, j) equals ``exact_cosine_distance(vectors[i], vectors[j])``;
+    each vector's squared norm is taken once.
+    """
     n = len(vectors)
+    norms = [_squared_norm(v) for v in vectors]
     matrix = np.zeros((n, n), dtype=np.float64)
     for i in range(n):
         for j in range(i + 1, n):
-            d = exact_cosine_distance(vectors[i], vectors[j])
+            d = 1.0 - _cosine(_dot(vectors[i], vectors[j]), norms[i], norms[j])
             matrix[i, j] = d
             matrix[j, i] = d
     return matrix
@@ -86,10 +92,10 @@ def pick_chunk_length(entropies: Mapping[int, float]) -> int:
     The argmax marks where distances spread most evenly; choosing its right
     neighbor lands in the region that still separates dissimilar graphs
     without making similar ones drift apart. Entropy ties resolve to the
-    smaller candidate.
+    smaller candidate, and a lone candidate is its own pick.
     """
-    if len(entropies) < 2:
-        raise ValueError("need at least two candidate chunk lengths")
+    if not entropies:
+        raise ValueError("need at least one candidate chunk length")
     candidates = sorted(entropies)
     best = max(candidates, key=lambda c: (entropies[c], -c))
     larger = [c for c in candidates if c > best]
@@ -319,34 +325,13 @@ class ClusterModel:
         return fallback
 
 
-def build_model(
-    store: GraphStore,
-    graph_ids: Sequence[int],
-    *,
-    hops: int,
-    chunk_length: int,
-    n_clusters: int,
-    sketch_bits: int,
-    cluster_seed: int,
-    family_seed: int,
-) -> tuple[ClusterModel, np.ndarray]:
-    """Cluster training graphs at a fixed chunk length and cluster count.
-
-    Returns the model and the medoid assignment of each training graph.
-    """
-    vectors = _vectors_by_length(store, graph_ids, hops, (chunk_length,))[chunk_length]
-    distances = pairwise_distance_matrix(vectors)
-    _, assignments = kmedoids(distances, n_clusters, cluster_seed)
-    family = HashFamily.generate(sketch_bits, chunk_length, family_seed)
-    return _assemble_model(vectors, assignments, family, hops, chunk_length, n_clusters), assignments
-
-
 def _vectors_by_length(
     store: GraphStore, graph_ids: Sequence[int], hops: int, lengths: Sequence[int]
 ) -> dict[int, list[Counter]]:
     """Chunk-frequency vector of every graph at every chunk length.
 
-    Each node's shingle is built once and chunked at every length.
+    Each node's shingle is built once and chunked at every length. The
+    shingles are freed on return, before the distance matrices are built.
     """
     shingle_lists = [
         [node_shingle(store, node, hops) for node in store.graph_nodes(g)]
@@ -361,36 +346,8 @@ def _vectors_by_length(
     }
 
 
-def _assemble_model(
-    vectors: Sequence[Counter],
-    assignments: np.ndarray,
-    family: HashFamily,
-    hops: int,
-    chunk_length: int,
-    n_clusters: int,
-) -> ClusterModel:
-    states = [batch_projection(v, family) for v in vectors]
-    projections = np.stack([state.projection for state in states])
-    centroids = np.zeros((n_clusters, family.sketch_bits), dtype=np.float64)
-    sizes = np.zeros(n_clusters, dtype=np.int64)
-    thresholds = np.zeros(n_clusters, dtype=np.float64)
-    for cluster in range(n_clusters):
-        members = np.flatnonzero(assignments == cluster)
-        if members.size == 0:
-            raise ValueError(f"cluster {cluster} has no members")
-        sizes[cluster] = members.size
-        centroids[cluster] = projections[members].mean(axis=0)
-        centroid_sketch = sign_bits(centroids[cluster])
-        member_distances = [
-            cosine_distance(states[m].sketch, centroid_sketch) for m in members
-        ]
-        thresholds[cluster] = anomaly_threshold(member_distances)
-    return ClusterModel(family, hops, chunk_length, centroids, sizes, thresholds)
-
-
 def bootstrap_model(
     store: GraphStore,
-    graph_ids: Sequence[int],
     *,
     hops: int,
     candidate_chunk_lengths: Sequence[int],
@@ -401,13 +358,13 @@ def bootstrap_model(
 ) -> tuple[ClusterModel, BootstrapReport]:
     """Full bootstrap: chunk-length selection, cluster-count selection, model.
 
-    Training graphs must all be resident in ``store``. After this returns,
-    the caller may discard the store; the model keeps only centroids.
+    Every graph in ``store`` is a training graph. After this returns, the
+    caller may discard the store; the model keeps only centroids.
     """
-    graph_ids = sorted(graph_ids)
     counts = sorted(set(candidate_cluster_counts))
     if not counts or counts[0] < 2:
         raise ValueError("candidate cluster counts must all be at least 2")
+    graph_ids = store.graph_ids()
     if len(graph_ids) < counts[-1]:
         raise ValueError(
             f"need at least {counts[-1]} training graphs, have {len(graph_ids)}"
@@ -421,7 +378,6 @@ def bootstrap_model(
     }
     entropies = chunk_length_entropies(distances_by_length)
     chunk_length = pick_chunk_length(entropies)
-    vectors = vectors_by_length[chunk_length]
     distances = distances_by_length[chunk_length]
 
     best: tuple[float, int, np.ndarray] | None = None
@@ -437,7 +393,22 @@ def bootstrap_model(
     quality, n_clusters, assignments = best
 
     family = HashFamily.generate(sketch_bits, chunk_length, family_seed)
-    model = _assemble_model(vectors, assignments, family, hops, chunk_length, n_clusters)
+    states = [batch_projection(v, family) for v in vectors_by_length[chunk_length]]
+    projections = np.stack([state.projection for state in states])
+    centroids = np.zeros((n_clusters, sketch_bits), dtype=np.float64)
+    sizes = np.zeros(n_clusters, dtype=np.int64)
+    thresholds = np.zeros(n_clusters, dtype=np.float64)
+    for cluster in range(n_clusters):
+        # Not empty: a split with an empty cluster was skipped above.
+        members = np.flatnonzero(assignments == cluster)
+        sizes[cluster] = members.size
+        centroids[cluster] = projections[members].mean(axis=0)
+        centroid_sketch = sign_bits(centroids[cluster])
+        member_distances = [
+            cosine_distance(states[m].sketch, centroid_sketch) for m in members
+        ]
+        thresholds[cluster] = anomaly_threshold(member_distances)
+    model = ClusterModel(family, hops, chunk_length, centroids, sizes, thresholds)
     report = BootstrapReport(
         chunk_length=chunk_length,
         n_clusters=n_clusters,

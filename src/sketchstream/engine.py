@@ -138,6 +138,9 @@ def load_model(fp: IO[str]) -> ClusterModel:
     exactly the header, the five fields in order, the K cluster lines and
     the K projection lines, each section in cluster order, with
     ``sketch_bits`` finite values per projection and finite thresholds.
+    Every number must be written as :func:`save_model` writes it (``str``
+    of an int, ``repr`` of a float), so a file that loads saves back
+    byte for byte.
     """
     lines = [line.rstrip("\n") for line in fp]
     if not lines or lines[0] != MODEL_HEADER:
@@ -194,6 +197,9 @@ def _model_value(
         raise _model_error(line_no, f"{text!r} is not a valid {kind.__name__}") from None
     if kind is float and not math.isfinite(value):
         raise _model_error(line_no, f"{text!r} is not finite")
+    written = repr(value) if kind is float else str(value)
+    if text != written:
+        raise _model_error(line_no, f"{text!r} is not written as {written!r}")
     if minimum is not None and value < minimum:
         raise _model_error(line_no, f"{value} is below {minimum}")
     if maximum is not None and value > maximum:
@@ -219,7 +225,6 @@ def run_bootstrap(
         store.insert(rec)
     model, report = bootstrap_model(
         store,
-        store.graph_ids(),
         hops=config.hops,
         candidate_chunk_lengths=config.candidate_chunk_lengths,
         candidate_cluster_counts=config.candidate_cluster_counts,

@@ -302,11 +302,25 @@ def write_labels(labels: Mapping[int, str], fp: IO[str]) -> None:
 
 
 def read_labels(lines: Iterable[str]) -> dict[int, str]:
+    """Parse a labels file: ``graph_id\\tlabel`` per line, blank lines skipped.
+
+    The graph id is ASCII digits alone and the label is exactly ``normal``
+    or ``anomaly``. Raises ``ValueError`` naming the first line that is
+    not, or that repeats a graph id.
+    """
     labels: dict[int, str] = {}
-    for line in lines:
-        line = line.strip()
-        if not line:
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
             continue
+        line = line.rstrip("\n")
         graph_id, _, label = line.partition("\t")
+        id_ok = graph_id.isascii() and graph_id.isdigit()
+        if not id_ok or label not in (LABEL_NORMAL, LABEL_ANOMALY):
+            raise ValueError(
+                f"labels line {line_no}: expected '<graph id><TAB>{LABEL_NORMAL}' or "
+                f"'<graph id><TAB>{LABEL_ANOMALY}', found {line!r}"
+            )
+        if int(graph_id) in labels:
+            raise ValueError(f"labels line {line_no}: graph {int(graph_id)} is labelled twice")
         labels[int(graph_id)] = label
     return labels

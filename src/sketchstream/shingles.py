@@ -178,18 +178,24 @@ def exact_cosine(a: Counter, b: Counter) -> float:
     Both zero gives 1.0, exactly one zero gives 0.0. The result is clamped
     to [0, 1] against float round-off.
     """
-    if not a and not b:
-        return 1.0
-    if not a or not b:
-        return 0.0
-    if len(b) < len(a):
-        a, b = b, a
-    dot = sum(count * b[chunk] for chunk, count in a.items() if chunk in b)
-    sq_a = sum(count * count for count in a.values())
-    sq_b = sum(count * count for count in b.values())
-    # One sqrt of the exact integer product: identical vectors give 1.0.
-    return min(1.0, max(0.0, dot / math.sqrt(sq_a * sq_b)))
+    return _cosine(_dot(a, b), _squared_norm(a), _squared_norm(b))
 
 
 def exact_cosine_distance(a: Counter, b: Counter) -> float:
     return 1.0 - exact_cosine(a, b)
+
+
+def _squared_norm(vector: Counter) -> int:
+    return sum(count * count for count in vector.values())
+
+
+def _dot(a: Counter, b: Counter) -> int:
+    return sum(a[chunk] * b[chunk] for chunk in a.keys() & b.keys())
+
+
+def _cosine(dot: int, sq_a: int, sq_b: int) -> float:
+    """The cosine rule of :func:`exact_cosine` on exact integer products."""
+    if not sq_a or not sq_b:
+        return 1.0 if sq_a == sq_b else 0.0
+    # One sqrt of the exact integer product: identical vectors give 1.0.
+    return min(1.0, max(0.0, dot / math.sqrt(sq_a * sq_b)))

@@ -34,7 +34,7 @@ from sketchstream import (
     save_model,
     shingle_vector,
 )
-from sketchstream.clustering import ClusterModel, build_model
+from sketchstream.clustering import ClusterModel, bootstrap_model
 from sketchstream.shingles import ChunkDelta
 
 from conftest import fold_stream
@@ -376,12 +376,11 @@ def test_criterion_09_throughput():
     store = GraphStore()
     for rec in dataset.train:
         store.insert(rec)
-    model, _ = build_model(
+    model, _ = bootstrap_model(
         store,
-        store.graph_ids(),
         hops=1,
-        chunk_length=25,
-        n_clusters=2,
+        candidate_chunk_lengths=(25,),
+        candidate_cluster_counts=(2,),
         sketch_bits=100,
         cluster_seed=1,
         family_seed=2,

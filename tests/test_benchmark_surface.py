@@ -15,6 +15,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from sketchstream import HashFamily, run_bootstrap, run_stream
 
@@ -64,6 +65,16 @@ def test_traced_runs_call_every_span(tmp_path):
     assert tracer.missing == set()
     _, calls = tracer.self_times()
     assert [name for name, n in zip(tracer.names, calls) if n == 0] == []
+
+
+@pytest.mark.parametrize("lengths", [(2, 4, 4, 8), (4,)], ids=["three-lengths", "one-length"])
+def test_traced_bootstrap_builds_one_distance_matrix_per_candidate_length(lengths):
+    # The benchmark's clustering.distance_matrices counts these calls.
+    spans = _load_spans()
+    config = small_config(candidate_chunk_lengths=lengths)
+    with spans.Tracer() as tracer:
+        spans.engine.run_bootstrap(lines_of(small_dataset().train), config)
+    assert tracer.setup_layers()["clustering.distance_matrices"]["value"] == len(set(lengths))
 
 
 def test_stream_result_has_what_the_worker_reads():

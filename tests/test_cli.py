@@ -137,6 +137,40 @@ def test_cli_reports_out_of_order_edge_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_bootstrap_takes_a_single_candidate_chunk_length(tmp_path, capsys):
+    stream, labels, train = tmp_path / "test.tsv", tmp_path / "labels.tsv", tmp_path / "train.tsv"
+    assert run_cli(
+        "generate", "--classes", 2, "--graphs-per-class", 6, "--anomaly-fraction", 0.0,
+        "--avg-nodes", 15, "--avg-edges", 40, "-B", 4, "--separation", 1.0, "--seed", 3,
+        "--out", stream, "--labels-out", labels, "--train-out", train, "--train-fraction", 0.75,
+    ) == 0
+    capsys.readouterr()
+    model = tmp_path / "m.model"
+    assert run_cli(
+        "bootstrap", "-i", train, "--model-out", model, "--chunk-lengths", 16,
+        "--cluster-counts", 2, "-L", 64, "--seed", 1, "--family-seed", 2,
+    ) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("chunk_length 16\nclusters 2\n")
+    assert model.read_text().splitlines()[2] == "chunk_length 16"
+
+
+def test_cli_reports_a_bad_labels_line(tmp_path, capsys):
+    model = tmp_path / "tiny.model"
+    model.write_text(
+        f"{MODEL_HEADER}\nsketch_bits 4\nchunk_length 2\nhops 1\nfamily_seed 0\n"
+        "clusters 1\ncluster 0 size 1 threshold 0.5\nprojection 0 1.0 -1.0 1.0 -1.0\n"
+    )
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("0\tnormal\n1\tAnomaly\n")
+    code = run_cli(
+        "stream", "--model", model, "-i", tmp_path / "test.tsv", "--labels", labels,
+        "--csv-out", tmp_path / "out.csv",
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: labels line 2: ")
+
+
 def test_cli_rejects_bad_int_list(capsys):
 
     with pytest.raises(SystemExit):

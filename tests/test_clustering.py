@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sketchstream import (
     ATTACK,
@@ -14,6 +16,7 @@ from sketchstream import (
     HashFamily,
     SketchState,
     bootstrap_model,
+    exact_cosine_distance,
     fresh_state,
     generate_dataset,
     kmedoids,
@@ -73,8 +76,30 @@ def test_select_chunk_length_end_to_end():
     matrices = {length: pairwise_distance_matrix(v) for length, v in vectors.items()}
     choice = pick_chunk_length(chunk_length_entropies(matrices, bins=4))
     assert choice in vectors
+    assert pick_chunk_length(chunk_length_entropies({1: matrices[2]}, bins=4)) == 1
+
+
+def test_pick_chunk_length_takes_a_lone_candidate_and_needs_one():
+    assert pick_chunk_length({16: 0.0}) == 16
+    assert pick_chunk_length({16: 1.5}) == 16
     with pytest.raises(ValueError):
-        pick_chunk_length(chunk_length_entropies({1: matrices[2]}, bins=4))
+        pick_chunk_length({})
+
+
+_COUNTERS = st.dictionaries(st.sampled_from("abcdef"), st.integers(1, 9), max_size=6).map(Counter)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vectors=st.lists(_COUNTERS, max_size=5), copies=st.lists(st.integers(0, 9), max_size=3))
+def test_distance_matrix_equals_the_per_pair_reference(vectors, copies):
+    # An empty vector and copies of drawn ones reach the zero-norm and the
+    # identical-vector cases of the cosine rule.
+    vectors = vectors + [Counter()] + [Counter(vectors[i % len(vectors)]) for i in copies if vectors]
+    matrix = pairwise_distance_matrix(vectors)
+    reference = np.array([[exact_cosine_distance(a, b) for b in vectors] for a in vectors])
+    assert np.array_equal(matrix, reference)
+    assert np.array_equal(matrix, matrix.T)
+    assert not np.diagonal(matrix).any()
 
 
 # -- k-medoids ----------------------------------------------------------------
@@ -435,7 +460,6 @@ def test_bootstrap_recovers_planted_classes():
     store, dataset = _training_store()
     model, report = bootstrap_model(
         store,
-        store.graph_ids(),
         hops=1,
         candidate_chunk_lengths=(2, 4, 8),
         candidate_cluster_counts=(2, 3, 4),
@@ -457,7 +481,6 @@ def test_bootstrap_threshold_bounds_member_outliers():
     store, _ = _training_store(seed=21, per_class=10)
     model, report = bootstrap_model(
         store,
-        store.graph_ids(),
         hops=1,
         candidate_chunk_lengths=(2, 4, 8),
         candidate_cluster_counts=(2, 3),
@@ -488,7 +511,6 @@ def test_bootstrap_requires_enough_graphs():
     with pytest.raises(ValueError, match="training graphs"):
         bootstrap_model(
             store,
-            store.graph_ids(),
             hops=1,
             candidate_chunk_lengths=(2, 4),
             candidate_cluster_counts=(10,),

@@ -151,6 +151,13 @@ def test_truncated_model_file_raises_value_error(model_text):
         pytest.param(
             7, lambda line: line.replace(" size ", " size 9" + "0" * 19 + "0"), 7, id="size-beyond-int64"
         ),
+        pytest.param(4, lambda line: "hops +1", 4, id="hops-signed"),
+        pytest.param(4, lambda line: "hops 01", 4, id="hops-leading-zero"),
+        pytest.param(4, lambda line: "hops \u0661", 4, id="hops-arabic-indic-digit"),
+        pytest.param(5, lambda line: "family_seed \uff17", 5, id="family-seed-fullwidth-digit"),
+        pytest.param(7, lambda line: line.replace(" size ", " size 0"), 7, id="size-leading-zero"),
+        pytest.param(10, lambda line: line.rsplit(" ", 1)[0] + " 1e2", 10, id="projection-exponent"),
+        pytest.param(10, lambda line: line.rsplit(" ", 1)[0] + " 3", 10, id="projection-int-text"),
     ],
 )
 def test_corrupt_model_file_names_the_line(model_text, line_no, edit, named_line):
@@ -167,7 +174,7 @@ _TOKENS = st.one_of(
 )
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_a_model_file_with_one_mutated_line_fails_cleanly_or_round_trips(model_text, data):
     lines = model_text.splitlines()
@@ -185,16 +192,15 @@ def test_a_model_file_with_one_mutated_line_fails_cleanly_or_round_trips(model_t
         tokens.insert(position, data.draw(_TOKENS, label="token"))
     if edit != "line":
         lines[line_no - 1] = " ".join(tokens)
+    text = "\n".join(lines) + "\n"
     try:
-        model = load_model(io.StringIO("\n".join(lines) + "\n"))
+        model = load_model(io.StringIO(text))
     except ValueError as exc:
         assert str(exc).startswith("model file line ")
         return
-    first = io.StringIO()
-    save_model(model, first)
-    second = io.StringIO()
-    save_model(load_model(io.StringIO(first.getvalue())), second)
-    assert second.getvalue() == first.getvalue()
+    saved = io.StringIO()
+    save_model(model, saved)
+    assert saved.getvalue() == text
 
 
 def test_stream_of_known_graph_scores_below_threshold():

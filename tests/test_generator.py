@@ -1,3 +1,4 @@
+import io
 from collections import Counter, defaultdict
 
 import pytest
@@ -169,3 +170,29 @@ def test_labels_file_round_trip(tmp_path):
         write_labels(dataset.labels, fp)
     with open(path) as fp:
         assert read_labels(fp) == dataset.labels
+
+
+@pytest.mark.parametrize(
+    "text,line_no",
+    [
+        pytest.param("1\tnormal\n+3\tanomaly\n", 2, id="signed-id"),
+        pytest.param("\u0664\tnormal\n", 1, id="arabic-indic-digit"),
+        pytest.param("3\tAnomaly\n", 1, id="capitalised-label"),
+        pytest.param("3\tattack\n", 1, id="unknown-label"),
+        pytest.param("3\n", 1, id="no-label"),
+        pytest.param("3\t\n", 1, id="empty-label"),
+        pytest.param("3 normal\n", 1, id="space-separator"),
+        pytest.param("3\tnormal\tx\n", 1, id="third-field"),
+        pytest.param("\n3\tnormal\n3\tanomaly\n", 3, id="repeated-id"),
+    ],
+)
+def test_read_labels_rejects_a_malformed_or_repeated_line(text, line_no):
+    with pytest.raises(ValueError, match=rf"^labels line {line_no}: "):
+        read_labels(io.StringIO(text))
+
+
+def test_read_labels_skips_blank_lines():
+    assert read_labels(io.StringIO("\n4\tanomaly\n\n2\tnormal\n")) == {
+        4: LABEL_ANOMALY,
+        2: LABEL_NORMAL,
+    }

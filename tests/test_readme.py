@@ -16,11 +16,12 @@ def _library_use_blocks() -> list[str]:
 
 def test_library_use_examples_run(capsys):
     blocks = _library_use_blocks()
-    assert len(blocks) == 2
+    assert len(blocks) == 3
     namespace: dict = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
     assert namespace["result"].edges_processed == len(namespace["dataset"].test)
     assert namespace["store"].peak_edges <= 2000
+    assert namespace["fixed_report"].chunk_length == 16
     printed = capsys.readouterr().out.splitlines()
-    assert len(printed) == 2
+    assert len(printed) == 3
