@@ -133,7 +133,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         max_edges=args.max_edges,
         max_tracked_graphs=args.max_tracked_graphs,
     )
-    with open(args.model, "r", encoding="ascii") as fp:
+    with open(args.model, "r", encoding="ascii", newline="") as fp:
         model = load_model(fp)
     labels = load_labels_file(args.labels) if args.labels else None
     with open(args.csv_out, "w", encoding="ascii") as csv_fp:

@@ -4,10 +4,13 @@ Bootstrapping (:func:`bootstrap_model`) clusters every graph of a store.
 It builds one exact-cosine distance matrix per candidate chunk length,
 with each vector's squared norm taken once, and picks a chunk length by
 the entropy of the distances (a lone candidate is its own pick). It groups
-the graphs with k-medoids at the cluster count maximizing the silhouette,
-and turns each cluster into a centroid: the running mean of its members'
-projection vectors, its sign sketch, and an anomaly threshold of mean plus
-three standard deviations of the member-to-centroid sketch distances (a
+the graphs with k-medoids at the cluster count maximizing the silhouette.
+Both work on the matrix in array form: k-medoids prices every swap of a
+medoid slot with one minimum against all candidate columns, and the
+silhouette derives each point's terms from one row sum per cluster. Each
+cluster becomes a centroid: the running mean of its members' projection
+vectors, its sign sketch, and an anomaly threshold of mean plus three
+standard deviations of the member-to-centroid sketch distances (a
 one-sided tail bound caps the false-positive rate at 10%).
 
 In streaming mode the model keeps each tracked graph's latest sketch
@@ -109,8 +112,12 @@ def kmedoids(
 
     Starts from seeded random distinct medoids, then repeatedly applies the
     single best cost-reducing (medoid, non-medoid) swap until none improves
-    the total distance to assigned medoids. Assignment ties go to the
-    lower medoid position. Deterministic for a fixed seed.
+    the total distance to assigned medoids. Each round prices all swaps of
+    one medoid slot at once: the minimum over the other medoids' columns,
+    taken once, against every candidate's column. The first minimum in
+    (slot, candidate) order wins, and only a strict improvement is taken.
+    Assignment ties go to the lower medoid position. Deterministic for a
+    fixed seed.
     """
     n = distances.shape[0]
     if distances.shape != (n, n):
@@ -119,32 +126,22 @@ def kmedoids(
         raise ValueError(f"n_clusters must lie in [1, {n}]")
     rng = np.random.default_rng(seed)
     medoids = sorted(int(m) for m in rng.choice(n, size=n_clusters, replace=False))
-
-    def cost_of(candidate: list[int]) -> float:
-        return float(distances[:, candidate].min(axis=1).sum())
-
-    cost = cost_of(medoids)
-    improved = True
-    while improved:
-        improved = False
-        best_swap: tuple[int, int] | None = None
-        best_cost = cost
-        medoid_set = set(medoids)
-        for mi, medoid in enumerate(medoids):
-            for other in range(n):
-                if other in medoid_set:
-                    continue
-                trial = medoids.copy()
-                trial[mi] = other
-                trial_cost = cost_of(trial)
-                if trial_cost < best_cost:
-                    best_cost = trial_cost
-                    best_swap = (mi, other)
-        if best_swap is not None:
-            medoids[best_swap[0]] = best_swap[1]
-            medoids.sort()
-            cost = best_cost
-            improved = True
+    # Row c is column c, so each candidate's cost is a contiguous row sum
+    # over the same values in the same order as a sum over its column.
+    columns = np.ascontiguousarray(distances.T)
+    cost = distances[:, medoids].min(axis=1).sum()
+    swap_costs = np.empty((n_clusters, n))
+    while True:
+        for slot in range(n_clusters):
+            others = distances[:, medoids[:slot] + medoids[slot + 1 :]]
+            swap_costs[slot] = np.minimum(columns, others.min(axis=1, initial=np.inf)).sum(axis=1)
+        swap_costs[:, medoids] = np.inf
+        slot, candidate = divmod(int(swap_costs.argmin()), n)
+        if not swap_costs[slot, candidate] < cost:
+            break
+        cost = swap_costs[slot, candidate]
+        medoids[slot] = candidate
+        medoids.sort()
     assignments = np.argmin(distances[:, medoids], axis=1)
     return medoids, assignments
 
@@ -159,27 +156,26 @@ def anomaly_threshold(distances: "Sequence[float] | np.ndarray") -> float:
 
 def silhouette(distances: np.ndarray, assignments: np.ndarray) -> float:
     """Mean silhouette over points; singleton-cluster points contribute 0."""
-    labels = np.unique(assignments)
+    labels, own, sizes = np.unique(assignments, return_inverse=True, return_counts=True)
     if labels.shape[0] < 2:
         raise ValueError("silhouette requires at least two clusters")
     n = distances.shape[0]
-    total = 0.0
-    for i in range(n):
-        own = assignments[i]
-        own_mask = assignments == own
-        own_size = int(own_mask.sum())
-        if own_size == 1:
-            continue
-        a = distances[i, own_mask].sum() / (own_size - 1)
-        b = min(
-            float(distances[i, assignments == other].mean())
-            for other in labels
-            if other != own
-        )
-        denom = max(a, b)
-        if denom > 0.0:
-            total += (b - a) / denom
-    return total / n
+    # One row sum per cluster, over a C-contiguous copy of its columns, so
+    # each point's sum adds its values in column order.
+    sums = np.column_stack(
+        [np.ascontiguousarray(distances[:, own == c]).sum(axis=1) for c in range(labels.size)]
+    )
+    rows = np.arange(n)
+    counted = sizes[own] > 1
+    a = sums[rows, own] / np.maximum(sizes[own] - 1, 1)
+    means = sums / sizes
+    means[rows, own] = np.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
+    terms = np.zeros(n)
+    np.divide(b - a, denom, out=terms, where=counted & (denom > 0.0))
+    # A running sum adds the terms in point order, one at a time.
+    return float(np.add.accumulate(terms)[-1] / n)
 
 
 @dataclass(frozen=True)

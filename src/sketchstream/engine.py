@@ -263,7 +263,9 @@ def run_stream(
     Snapshots are taken every ``config.snapshot_interval`` edges and once
     at stream end (not duplicated when the end falls on the interval).
     Ranking metrics are attached when ``labels`` is given and the current
-    ranking has both positives and negatives.
+    ranking has both positives and negatives. Given labels must cover every
+    streamed graph: the first edge of an unlabelled graph raises
+    ``ValueError`` naming the graph and the edge.
     """
     positives = (
         {g for g, label in labels.items() if label == LABEL_ANOMALY} if labels else None
@@ -285,6 +287,8 @@ def run_stream(
 
         state = model.states.get(rec.graph_id)
         if state is None:  # each graph's first edge passes here
+            if labels is not None and rec.graph_id not in labels:
+                raise ValueError(f"edge {edges + 1}: graph {rec.graph_id} has no label")
             state = fresh_state(family.sketch_bits)
             seen.add(rec.graph_id)
         model.update_graph(rec.graph_id, apply_delta(state, family, delta))
@@ -316,7 +320,7 @@ def run_stream(
 
 def _iter_records(stream: Iterable[str] | str | Path) -> Iterable[EdgeRecord]:
     if isinstance(stream, (str, Path)):
-        with open(stream, "r", encoding="ascii") as fp:
+        with open(stream, "r", encoding="ascii", newline="") as fp:
             yield from read_stream(fp)
     else:
         yield from read_stream(stream)
@@ -349,5 +353,5 @@ def _snapshot(
 
 
 def load_labels_file(path: str | Path) -> dict[int, str]:
-    with open(path, "r", encoding="ascii") as fp:
+    with open(path, "r", encoding="ascii", newline="") as fp:
         return read_labels(fp)

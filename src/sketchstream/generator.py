@@ -41,7 +41,6 @@ _SIZE_JITTER = 0.10
 # pollute sketches with restart artifacts.
 _PARENT_WINDOW = 8
 _LOCAL_DEST_SPAN = 6
-_NONLOCAL_PROB = 0.0
 
 
 @dataclass(frozen=True)
@@ -127,17 +126,17 @@ def _pick(rng: np.random.Generator, alphabet: str) -> str:
 
 
 def _random_dest(rng: np.random.Generator, n_nodes: int, source: int) -> int:
-    """Destination near the source; rarely (or at the ends) anywhere."""
+    """Destination near the source; anywhere when that falls off an end."""
     if n_nodes == 1:
         return source
-    if rng.random() >= _NONLOCAL_PROB:
-        span = min(_LOCAL_DEST_SPAN, n_nodes - 1)
-        offset = int(rng.integers(1, span + 1))
-        if rng.random() < 0.5:
-            offset = -offset
-        dest = source + offset
-        if 0 <= dest < n_nodes:
-            return dest
+    rng.random()  # unused, but the seeded streams depend on every draw
+    span = min(_LOCAL_DEST_SPAN, n_nodes - 1)
+    offset = int(rng.integers(1, span + 1))
+    if rng.random() < 0.5:
+        offset = -offset
+    dest = source + offset
+    if 0 <= dest < n_nodes:
+        return dest
     dest = int(rng.integers(0, n_nodes - 1))
     return dest + 1 if dest >= source else dest
 
@@ -147,14 +146,12 @@ def _random_template(
 ) -> _Template:
     node_types = tuple(_pick(rng, config.node_type_alphabet) for _ in range(n_nodes))
     keyed: list[tuple[int, int, int, str]] = []  # (burst owner, source, dest, type)
-    # Spanning tree with mostly recent parents keeps growth connected and
+    # Spanning tree with recent parents keeps growth connected and
     # bursty; extra edges (forward, backward, or cross) are owned by a node
     # and emitted during its burst.
     for node in range(1, n_nodes):
-        if rng.random() >= _NONLOCAL_PROB:
-            parent = int(rng.integers(max(0, node - _PARENT_WINDOW), node))
-        else:
-            parent = int(rng.integers(0, node))
+        rng.random()  # unused, but the seeded streams depend on every draw
+        parent = int(rng.integers(max(0, node - _PARENT_WINDOW), node))
         keyed.append((node, parent, node, _pick(rng, config.edge_type_alphabet)))
     for _ in range(n_edges - (n_nodes - 1)):
         owner = int(rng.integers(0, n_nodes))

@@ -77,6 +77,18 @@ def test_traced_bootstrap_builds_one_distance_matrix_per_candidate_length(length
     assert tracer.setup_layers()["clustering.distance_matrices"]["value"] == len(set(lengths))
 
 
+def test_traced_bootstrap_runs_kmedoids_once_per_distinct_cluster_count():
+    # The benchmark's clustering.kmedoids_s and clustering.silhouette_s time these calls.
+    spans = _load_spans()
+    config = small_config(candidate_cluster_counts=(2, 3, 3))
+    with spans.Tracer() as tracer:
+        spans.engine.run_bootstrap(lines_of(small_dataset().train), config)
+    _, calls = tracer.self_times()
+    count = dict(zip(tracer.names, calls))
+    assert count["clustering.kmedoids"] == 2
+    assert count["clustering.silhouette"] <= 2
+
+
 def test_stream_result_has_what_the_worker_reads():
     expressions = _result_expressions((BENCH_DIR / "worker.py").read_text(encoding="utf-8"))
     assert "result.states.items" in expressions

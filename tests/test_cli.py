@@ -171,6 +171,73 @@ def test_cli_reports_a_bad_labels_line(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: labels line 2: ")
 
 
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    """A generated test stream, its labels, training stream and model."""
+    directory = tmp_path_factory.mktemp("generated")
+    paths = {name: directory / name for name in ("test.tsv", "labels.tsv", "train.tsv", "m.model")}
+    assert run_cli(
+        "generate", "--classes", 2, "--graphs-per-class", 10, "--anomaly-fraction", 0.1,
+        "--avg-nodes", 15, "--avg-edges", 40, "-B", 4, "--separation", 1.0, "--seed", 3,
+        "--out", paths["test.tsv"], "--labels-out", paths["labels.tsv"],
+        "--train-out", paths["train.tsv"], "--train-fraction", 0.5,
+    ) == 0
+    assert run_cli(
+        "bootstrap", "-i", paths["train.tsv"], "--model-out", paths["m.model"],
+        "--chunk-lengths", "2,4", "--cluster-counts", "2", "-L", 64,
+        "--seed", 1, "--family-seed", 2,
+    ) == 0
+    return paths
+
+
+@pytest.mark.parametrize(
+    "crlf, error",
+    [
+        ("test.tsv", "error: line 1: field graph_id: "),
+        ("train.tsv", "error: line 1: field graph_id: "),
+        ("labels.tsv", "error: labels line 1: "),
+        ("m.model", "error: model file line 1: "),
+    ],
+    ids=["stream", "bootstrap", "labels", "model"],
+)
+def test_cli_rejects_crlf_files_on_line_1(generated, tmp_path, capsys, crlf, error):
+    paths = dict(generated)
+    paths[crlf] = tmp_path / crlf
+    paths[crlf].write_bytes(generated[crlf].read_bytes().replace(b"\n", b"\r\n"))
+    capsys.readouterr()
+    if crlf == "train.tsv":
+        code = run_cli(
+            "bootstrap", "-i", paths["train.tsv"], "--model-out", tmp_path / "m.model",
+            "--chunk-lengths", "2,4", "--cluster-counts", "2", "-L", 64,
+            "--seed", 1, "--family-seed", 2,
+        )
+    else:
+        code = run_cli(
+            "stream", "--model", paths["m.model"], "-i", paths["test.tsv"],
+            "--labels", paths["labels.tsv"], "--csv-out", tmp_path / "out.csv",
+        )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(error)
+    assert "Traceback" not in err
+
+
+def test_cli_rejects_labels_that_leave_out_a_streamed_graph(generated, tmp_path, capsys):
+    lines = generated["labels.tsv"].read_text().splitlines(keepends=True)
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("".join(line for line in lines if not line.endswith("\tanomaly\n")))
+    anomalies = {line.split("\t")[0] for line in lines if line.endswith("\tanomaly\n")}
+    graph_ids = [line.split("\t")[6] for line in generated["test.tsv"].read_text().splitlines()]
+    number, graph_id = next((n, g) for n, g in enumerate(graph_ids, start=1) if g in anomalies)
+    capsys.readouterr()
+    code = run_cli(
+        "stream", "--model", generated["m.model"], "-i", generated["test.tsv"],
+        "--labels", labels, "--csv-out", tmp_path / "out.csv",
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"error: edge {number}: graph {graph_id} has no label\n"
+
+
 def test_cli_rejects_bad_int_list(capsys):
 
     with pytest.raises(SystemExit):

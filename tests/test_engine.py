@@ -265,6 +265,21 @@ def test_snapshot_metrics_appear_only_with_labels():
     assert final.auc is not None and 0.0 <= final.auc <= 1.0
 
 
+def test_labels_must_cover_every_streamed_graph():
+    dataset = small_dataset()
+    config = small_config()
+    model, _ = run_bootstrap(lines_of(dataset.train), config)
+    lines = lines_of(dataset.test)
+    # The graph whose first edge comes last among the graphs' first edges.
+    first_edge = {}
+    for number, rec in enumerate(dataset.test, start=1):
+        first_edge.setdefault(rec.graph_id, number)
+    graph_id, number = max(first_edge.items(), key=lambda item: item[1])
+    labels = {g: label for g, label in dataset.labels.items() if g != graph_id}
+    with pytest.raises(ValueError, match=rf"^edge {number}: graph {graph_id} has no label$"):
+        run_stream(model, lines, config, labels=labels)
+
+
 def test_csv_has_expected_shape():
     dataset = small_dataset()
     config = small_config(snapshot_interval=200)
