@@ -39,7 +39,6 @@ from .metrics import average_precision, roc_auc
 from .records import EdgeRecord, ParseError, format_edge, parse_edge, read_stream
 from .shingles import (
     ChunkDelta,
-    ChunkMemo,
     chunk_shingle,
     edge_delta,
     exact_cosine,
@@ -63,6 +62,7 @@ from .store import (
     NodeTypeConflictError,
     OutOfOrderEdgeError,
     StoredEdge,
+    StoredNode,
 )
 
 __version__ = "0.1.0"

@@ -19,10 +19,11 @@ from .records import ParseError, write_stream
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(part) for part in text.split(",") if part)
-    except ValueError:
+    parts = [part for part in text.split(",") if part]
+    # int() alone also takes "1_6", " 16" and non-ASCII digits such as "\u0663".
+    if not all(part.isascii() and part.isdigit() for part in parts):
         raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated int list")
+    values = tuple(int(part) for part in parts)
     if not values:
         raise argparse.ArgumentTypeError("list must not be empty")
     return values

@@ -7,11 +7,11 @@ chunk delta (which inserts the edge and then evicts), sketch update,
 cluster update, score; a snapshot of the instantaneous ranking is
 recorded every ``snapshot interval`` edges and once at stream end.
 
-Per edge, the work follows what the edge changed. The delta reads the
-"before" chunks of the affected nodes from a chunk memo kept for the
-whole stream and stores their "after" chunks there; eviction and
-tracked-graph drops clear the entries they make stale (see
-``shingles.ChunkMemo``). The sketch update hashes only the delta's
+Per edge, the work follows what the edge changed. The store keeps each
+node's out-edge labels concatenated, so at one and two hops the delta
+builds each affected node's new shingle from these strings and cuts the
+new label out again for the old one (see ``shingles.edge_delta``); no
+chunk state outlives an edge. The sketch update hashes only the delta's
 chunks that the hash family has not cached, all in one product.
 
 Evicted edges never roll sketches back: a graph's projection accumulates
@@ -35,7 +35,7 @@ from .clustering import UNASSIGNED, BootstrapReport, ClusterModel, bootstrap_mod
 from .generator import LABEL_ANOMALY, read_labels
 from .metrics import average_precision, roc_auc
 from .records import EdgeRecord, read_stream
-from .shingles import ChunkMemo, edge_delta
+from .shingles import edge_delta
 from .sketches import MAX_EXACT_CHUNK_LEN, HashFamily, SketchState, apply_delta, fresh_state
 from .store import GraphStore
 
@@ -72,6 +72,18 @@ class RunConfig:
             raise ValueError("snapshot_interval must be positive")
         if self.max_tracked_graphs is not None and self.max_tracked_graphs < 1:
             raise ValueError("max_tracked_graphs must be positive or None")
+        # Checked here, before run_bootstrap loads and shingles a training stream.
+        if not self.candidate_chunk_lengths or not all(
+            1 <= length <= MAX_EXACT_CHUNK_LEN for length in self.candidate_chunk_lengths
+        ):
+            raise ValueError(
+                f"candidate_chunk_lengths must be a non-empty tuple of lengths "
+                f"in [1, {MAX_EXACT_CHUNK_LEN}]"
+            )
+        if not self.candidate_cluster_counts or not all(
+            count >= 2 for count in self.candidate_cluster_counts
+        ):
+            raise ValueError("candidate_cluster_counts must be a non-empty tuple of counts >= 2")
 
 
 @dataclass
@@ -275,13 +287,12 @@ def run_stream(
     if csv_fp is not None:
         csv_fp.write("edges_processed,graph_id,score,assignment,ap,auc\n")
 
-    memo = ChunkMemo(model.hops, model.chunk_length)
-    family = model.family
+    hops, chunk_length, family = model.hops, model.chunk_length, model.family
     edges = dropped = 0
     seen: set[int] = set()
     started = time.perf_counter()
     for rec in _iter_records(stream):
-        delta = edge_delta(store, rec, memo)
+        delta = edge_delta(store, rec, hops, chunk_length)
         if config.max_edges is not None and store.total_edges > config.max_edges:
             raise AssertionError("resident edges exceeded the configured bound")
 
@@ -297,7 +308,7 @@ def run_stream(
         if config.max_tracked_graphs is not None and len(model.states) > config.max_tracked_graphs:
             victim = next(iter(model.states))
             model.forget_graph(victim)
-            memo.drop_graph(store, victim)
+            store.drop_graph(victim)
             dropped += 1
         if edges % config.snapshot_interval == 0:
             snapshots.append(_snapshot(model, edges, positives, csv_fp))

@@ -9,7 +9,12 @@ Each stored edge carries its label: the edge type followed by the
 destination's type, the two characters that it adds to a shingle. Labels
 are interned, so edges with the same label share one string. A node
 stays resident while it holds an edge, and a resident node's type never
-changes, so a label never goes stale.
+changes, so a label never goes stale. Each node also keeps ``l1``, the
+labels of its out-edges concatenated in arrival order, which is its
+one-hop shingle without its type: inserting an edge appends its label to
+its source's ``l1``, and removing one cuts its two characters at the
+edge's index in its source's out-list. :attr:`GraphStore.nodes` is a
+read-only view of the resident nodes' records.
 
 :meth:`GraphStore.insert` adds an edge and evicts. ``shingles.edge_delta``
 runs the same steps one at a time (:meth:`~GraphStore.prepare_edge`
@@ -35,6 +40,8 @@ from __future__ import annotations
 import sys
 from collections import OrderedDict
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 from .records import EdgeRecord
 
@@ -77,13 +84,16 @@ class PendingEdge:
     dest_type: str
 
 
-class _Node:
-    __slots__ = ("type", "out", "inc")
+class StoredNode:
+    """A resident node: its type, its out- and in-edges in arrival order, and ``l1``."""
+
+    __slots__ = ("type", "out", "inc", "l1")
 
     def __init__(self, node_type: str):
         self.type = node_type
         self.out: list[StoredEdge] = []
         self.inc: list[StoredEdge] = []
+        self.l1 = ""  # the labels of ``out``, concatenated
 
 
 _EMPTY: list[StoredEdge] = []
@@ -102,7 +112,9 @@ class GraphStore:
         self.total_edges = 0
         self.peak_edges = 0
         # Least recently used first.
-        self._nodes: OrderedDict[NodeKey, _Node] = OrderedDict()
+        self._nodes: OrderedDict[NodeKey, StoredNode] = OrderedDict()
+        # Live and read-only; callers must not mutate the records either.
+        self.nodes: Mapping[NodeKey, StoredNode] = MappingProxyType(self._nodes)
         self._graphs: dict[int, set[NodeKey]] = {}
         self._seq = 0
 
@@ -203,7 +215,9 @@ class GraphStore:
         self._register(edge.source, pending.source_type)
         self._register(edge.dest, pending.dest_type)
 
-        self._nodes[edge.source].out.append(edge)
+        source = self._nodes[edge.source]
+        source.out.append(edge)
+        source.l1 += edge.label
         self._nodes[edge.dest].inc.append(edge)
         self.total_edges += 1
 
@@ -238,7 +252,7 @@ class GraphStore:
     def _register(self, node: NodeKey, node_type: str) -> None:
         if node not in self._nodes:
             # prepare_edge already rejected type conflicts.
-            self._nodes[node] = _Node(node_type)
+            self._nodes[node] = StoredNode(node_type)
             self._graphs.setdefault(node[0], set()).add(node)
 
     def _evict_one(self) -> StoredEdge:
@@ -251,7 +265,12 @@ class GraphStore:
         return victim
 
     def _remove_edge(self, edge: StoredEdge) -> None:
-        self._nodes[edge.source].out.remove(edge)
+        # The victim may be the front node's inc[0], which need not be
+        # the first out-edge of its source.
+        source = self._nodes[edge.source]
+        index = source.out.index(edge)
+        del source.out[index]
+        source.l1 = source.l1[: 2 * index] + source.l1[2 * index + 2 :]
         self._nodes[edge.dest].inc.remove(edge)
         self.total_edges -= 1
         for node in {edge.source, edge.dest}:

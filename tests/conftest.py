@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from sketchstream import (
-    ChunkMemo,
     EdgeRecord,
     GraphStore,
     apply_delta,
@@ -37,10 +36,9 @@ def build_store(records, capacity=None) -> GraphStore:
 def fold_stream(records, hops, chunk_length, family, capacity=None):
     """Replay records through the delta pipeline; returns (store, states)."""
     store = GraphStore(capacity=capacity)
-    memo = ChunkMemo(hops, chunk_length)
     states = {}
     for rec in records:
-        delta = edge_delta(store, rec, memo)
+        delta = edge_delta(store, rec, hops, chunk_length)
         state = states.get(rec.graph_id)
         if state is None:
             state = fresh_state(family.sketch_bits)

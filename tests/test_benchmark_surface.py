@@ -89,6 +89,30 @@ def test_traced_bootstrap_runs_kmedoids_once_per_distinct_cluster_count():
     assert count["clustering.silhouette"] <= 2
 
 
+@pytest.mark.parametrize("hops", [1, 2, 3])
+def test_traced_stream_writes_each_edge_to_the_store_inside_its_delta(hops):
+    # The benchmark's store.insert_s takes these two spans' self time out of
+    # shingles.delta_s; a store write inlined into edge_delta would move it.
+    spans = _load_spans()
+    dataset = small_dataset()
+    config = small_config(hops=hops, max_edges=60)
+    model, _ = run_bootstrap(lines_of(dataset.train), config)
+    with spans.Tracer() as tracer:
+        result = spans.engine.run_stream(model, lines_of(dataset.test), config)
+    names = [tracer.names[i] for i in tracer.span_name]
+    deltas = [i for i, name in enumerate(names) if name == "shingles.edge_delta"]
+    assert len(deltas) == result.edges_processed
+    children = {i: [] for i in deltas}
+    for span, name in enumerate(names):
+        if name.startswith("store."):
+            assert tracer.parents[span] in children, f"{name} outside an edge_delta span"
+            children[tracer.parents[span]].append(name)
+    assert all(
+        sorted(calls) == ["store.insert_prepared", "store.prepare_edge"]
+        for calls in children.values()
+    )
+
+
 def test_stream_result_has_what_the_worker_reads():
     expressions = _result_expressions((BENCH_DIR / "worker.py").read_text(encoding="utf-8"))
     assert "result.states.items" in expressions

@@ -245,6 +245,22 @@ def test_cli_rejects_bad_int_list(capsys):
                 "--chunk-lengths", "a,b", "--seed", 1, "--family-seed", 2)
 
 
+@pytest.mark.parametrize("text", ["1_6,\u06632", "16, 32", "+16", "\uff11\uff16"])
+def test_cli_rejects_int_lists_that_only_int_accepts(text, capsys):
+    # int() reads "1_6,\u06632" as (16, 32); the option takes ASCII digits only.
+    with pytest.raises(SystemExit):
+        run_cli("bootstrap", "-i", "x", "--model-out", "y",
+                "--chunk-lengths", text, "--seed", 1, "--family-seed", 2)
+    assert "is not a comma-separated int list" in capsys.readouterr().err
+
+
+def test_cli_reports_an_impossible_candidate_before_reading_input(tmp_path, capsys):
+    # The input does not exist: the candidate is refused before it is opened.
+    assert run_cli("bootstrap", "-i", tmp_path / "missing.tsv", "--model-out", tmp_path / "m",
+                   "--cluster-counts", "1", "--seed", 1, "--family-seed", 2) == 1
+    assert capsys.readouterr().err.startswith("error: candidate_cluster_counts")
+
+
 # Each command's options that set a config field: option dest -> field.
 _CONFIG_OPTIONS = [
     (

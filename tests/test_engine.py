@@ -11,6 +11,7 @@ import sketchstream.engine as engine
 from sketchstream import (
     ClusterModel,
     GeneratorConfig,
+    GraphStore,
     HashFamily,
     ParseError,
     RunConfig,
@@ -21,7 +22,6 @@ from sketchstream import (
     format_edge,
     generate_dataset,
     load_model,
-    node_shingle,
     run_bootstrap,
     run_stream,
     save_model,
@@ -29,8 +29,11 @@ from sketchstream import (
 )
 from sketchstream.clustering import UNASSIGNED
 from sketchstream.engine import report_text
+from sketchstream.shingles import ChunkDelta
+from sketchstream.sketches import MAX_EXACT_CHUNK_LEN
 
 from test_golden import CASES, golden_config, golden_dataset
+from test_shingles import reference_shingle
 
 
 def small_dataset(seed=5, **overrides):
@@ -84,6 +87,28 @@ def test_bootstrap_is_deterministic(tmp_path):
         run_bootstrap(lines_of(dataset.train), config, model_path=path)
         paths.append(path.read_bytes())
     assert paths[0] == paths[1]
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("candidate_chunk_lengths", ()),
+        ("candidate_chunk_lengths", (0,)),
+        ("candidate_chunk_lengths", (8, 20000)),
+        ("candidate_cluster_counts", ()),
+        ("candidate_cluster_counts", (1,)),
+        ("candidate_cluster_counts", (3, 1)),
+    ],
+)
+def test_run_config_rejects_impossible_bootstrap_candidates(field, value):
+    with pytest.raises(ValueError, match=field):
+        RunConfig(**{field: value})
+
+
+def test_run_config_takes_the_extreme_possible_candidates():
+    lengths = (1, MAX_EXACT_CHUNK_LEN)
+    config = RunConfig(candidate_chunk_lengths=lengths, candidate_cluster_counts=(2,))
+    assert config.candidate_chunk_lengths == lengths
 
 
 def test_bootstrap_rejects_too_few_graphs():
@@ -387,36 +412,57 @@ def test_unassigned_graphs_report_unassigned_in_snapshot():
     assert rows[0][2] in {UNASSIGNED, "ATTACK"} or rows[0][2].isdigit()
 
 
+def _reference_edge_delta(store, rec, hops, chunk_length):
+    """The delta by whole traversals: read, insert, read again, cancel, evict.
+
+    Shingles come from ``reference_shingle``, which walks the out-edges
+    and does not read the store's label strings.
+    """
+    pending = store.prepare_edge(rec)
+    affected = store.reverse_reach(pending.edge.source, hops - 1)
+    if not store.has_node(pending.edge.dest):
+        affected.add(pending.edge.dest)
+
+    def chunks_of(nodes):
+        return [
+            chunk
+            for node in nodes
+            for chunk in chunk_shingle(reference_shingle(store, node, hops), chunk_length)
+        ]
+
+    outgoing = chunks_of(node for node in affected if store.has_node(node))
+    store.insert_prepared(pending)
+    delta = ChunkDelta.cancelled(chunks_of(affected), outgoing)
+    store.evict_to_capacity()
+    return delta
+
+
 @pytest.mark.parametrize("hops", [1, 2, 3])
-def test_chunk_memo_matches_the_live_store_after_every_edge(hops, monkeypatch):
+def test_edge_delta_matches_a_traversal_reference_at_every_edge(hops, monkeypatch):
     # A small cap evicts on most edges and a tracked-graph cap of two
-    # drops live graphs; after each edge, every memo entry must be a
-    # resident node's chunk list in the live store.
+    # drops live graphs. A shadow store takes the same edges and drops
+    # through the reference, and every edge's delta must equal it.
     dataset = small_dataset(seed=hops)
     config = small_config(hops=hops, max_edges=40, max_tracked_graphs=2)
     rng = np.random.default_rng(hops)
     family = HashFamily.generate(config.sketch_bits, 4, seed=hops)
     centroids = rng.normal(size=(2, config.sketch_bits))
     model = ClusterModel(family, hops, 4, centroids, [3, 3], [0.5, 0.5])
-    seen = []
+    shadow = GraphStore(capacity=config.max_edges)
+    checked = []
 
-    def check(store, memo):
-        for node, chunks in memo.chunks.items():
-            assert store.has_node(node), f"memo holds forgotten node {node}"
-            expected = chunk_shingle(node_shingle(store, node, hops), memo.chunk_length)
-            assert chunks == expected, f"stale memo entry for {node}"
-
-    def checked_delta(store, rec, memo):
-        check(store, memo)  # as the previous edge's eviction and drop left it
-        seen.append((store, memo))
-        return edge_delta(store, rec, memo)
+    def checked_delta(store, rec, hops, chunk_length):
+        for graph_id in set(shadow.graph_ids()) - set(store.graph_ids()):
+            shadow.drop_graph(graph_id)  # dropped by the tracked-graph cap
+        delta = edge_delta(store, rec, hops, chunk_length)
+        assert delta.net == _reference_edge_delta(shadow, rec, hops, chunk_length).net
+        checked.append(rec)
+        return delta
 
     monkeypatch.setattr(engine, "edge_delta", checked_delta)
     result = run_stream(model, lines_of(dataset.test), config)
-    check(*seen[-1])
-    assert result.edges_processed == len(seen) > 2 * config.max_edges
+    assert result.edges_processed == len(checked) > 2 * config.max_edges
     assert result.dropped_graphs > 0
-    assert len(seen[-1][1].chunks) > 0
 
 
 def test_streamed_scores_equal_the_distance_to_the_updated_centroid():

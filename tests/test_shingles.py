@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sketchstream import (
-    ChunkMemo,
     GeneratorConfig,
     GraphStore,
     OutOfOrderEdgeError,
@@ -134,32 +133,33 @@ def test_chunking_rejects_bad_inputs():
 
 def test_delta_on_empty_graph():
     store = GraphStore()
-    delta = edge_delta(store, edge(1, "a", 2, "b", 1, "x"), ChunkMemo(1, 10))
+    delta = edge_delta(store, edge(1, "a", 2, "b", 1, "x"), 1, 10)
     assert delta.incoming == Counter({"axb": 1, "b": 1})
     assert delta.outgoing == Counter()
 
 
 def test_delta_for_second_edge():
     store = build_store([edge(1, "a", 2, "b", 1, "x")])
-    delta = edge_delta(store, edge(1, "a", 3, "c", 2, "y"), ChunkMemo(1, 10))
+    delta = edge_delta(store, edge(1, "a", 3, "c", 2, "y"), 1, 10)
     assert delta.outgoing == Counter({"axb": 1})
     assert delta.incoming == Counter({"axbyc": 1, "c": 1})
 
 
-def test_rejected_edge_changes_neither_store_nor_memo():
+def test_rejected_edge_changes_neither_store_nor_labels():
     store = GraphStore()
-    memo = ChunkMemo(2, 3)
-    edge_delta(store, edge(1, "a", 2, "b", 5, "x"), memo)
-    chunks = {node: list(c) for node, c in memo.chunks.items()}
+    edge_delta(store, edge(1, "a", 2, "b", 5, "x"), 2, 3)
     with pytest.raises(OutOfOrderEdgeError):
-        edge_delta(store, edge(1, "a", 3, "c", 4, "y"), memo)
+        edge_delta(store, edge(1, "a", 3, "c", 4, "y"), 2, 3)
     assert store.total_edges == 1 and not store.has_node((0, 3))
-    assert memo.chunks == chunks
+    assert store.nodes[(0, 1)].l1 == "xb" and store.nodes[(0, 2)].l1 == ""
+    # the next edge's delta reads the labels that the rejected edge left
+    delta = edge_delta(store, edge(1, "a", 3, "c", 6, "y"), 2, 3)
+    assert delta.outgoing == Counter() and delta.incoming == Counter({"yc": 1, "c": 1})
 
 
 def test_delta_cancellation_with_short_chunks():
     store = build_store([edge(1, "a", 2, "b", 1, "x")])
-    delta = edge_delta(store, edge(1, "a", 3, "c", 2, "y"), ChunkMemo(1, 2))
+    delta = edge_delta(store, edge(1, "a", 3, "c", 2, "y"), 1, 2)
     # raw outgoing {ax, b}, raw incoming {ax, by, c, c}; "ax" cancels
     assert delta.outgoing == Counter({"b": 1})
     assert delta.incoming == Counter({"by": 1, "c": 2})
@@ -175,10 +175,9 @@ def test_delta_sides_are_disjoint_after_cancellation():
 def _delta_matches_batch_difference(records, hops, length):
     """The stated oracle: delta == vector(after) - vector(before)."""
     store = GraphStore()
-    memo = ChunkMemo(hops, length)
     for rec in records:
         before = shingle_vector(store, rec.graph_id, hops, length)
-        delta = edge_delta(store, rec, memo)
+        delta = edge_delta(store, rec, hops, length)
         after = shingle_vector(store, rec.graph_id, hops, length)
         gained = after.copy()
         gained.subtract(before)
@@ -199,7 +198,9 @@ def test_delta_equals_batch_difference_on_spec_cases():
     _delta_matches_batch_difference([edge(5, "q", 5, "q", 1, "z")], 1, 4)
 
 
-@pytest.mark.parametrize("hops,length", [(1, 4), (2, 3), (3, 7)])
+# Labels start at odd offsets after the 1-character type, so at lengths 1
+# and 2 every label straddles a chunk boundary.
+@pytest.mark.parametrize("hops,length", [(1, 4), (2, 3), (3, 7), (1, 1), (1, 2), (2, 1), (2, 2)])
 def test_delta_equals_batch_difference_on_generated_streams(hops, length):
     config = GeneratorConfig(
         num_behavior_classes=2,

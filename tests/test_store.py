@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sketchstream import GraphStore, NodeTypeConflictError, OutOfOrderEdgeError
 
@@ -256,3 +258,53 @@ def test_stale_prepared_edge_is_rejected():
     store.insert(edge(3, "c", 4, "d", 1))
     with pytest.raises(RuntimeError):
         store.insert_prepared(pending)
+
+
+def _assert_l1_matches(store):
+    for g in store.graph_ids():
+        for node in store.graph_nodes(g):
+            assert store.nodes[node].l1 == "".join(e.label for e in store.out_edges(node))
+
+
+_STORE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("drop"), st.integers(0, 1)),
+        st.tuples(
+            st.just("edge"),
+            st.integers(0, 1),  # graph
+            st.integers(0, 4),  # source id
+            st.integers(0, 4),  # dest id: self-loops and repeats are common
+            st.sampled_from("XY"),
+            st.integers(0, 2),  # timestamp step of the source
+        ),
+    ),
+    max_size=60,
+)
+
+
+@given(st.integers(1, 6), _STORE_OPS)
+def test_l1_is_the_out_edge_labels_after_every_edge(capacity, ops):
+    store = GraphStore(capacity=capacity)
+    clocks = {}
+    for op in ops:
+        if op[0] == "drop":
+            store.drop_graph(op[1])
+        else:
+            _, graph, u, v, edge_type, step = op
+            timestamp = clocks[(graph, u)] = clocks.get((graph, u), 0) + step
+            store.insert(edge(u, "abc"[u % 3], v, "abc"[v % 3], timestamp, edge_type, graph))
+        _assert_l1_matches(store)
+
+
+def test_evicting_a_later_out_edge_cuts_its_own_label():
+    # Node 3 is the least recently touched when 1->5 arrives; its oldest
+    # edge is inc[0], 1->3, the second of node 1's out-edges.
+    store = build_store([edge(1, "a", 2, "b", 1, "X"), edge(1, "a", 3, "c", 2, "Y"),
+                         edge(2, "b", 4, "d", 3, "Z")], capacity=3)
+    assert store.nodes[(0, 1)].l1 == "XbYc"
+    store.insert_prepared(store.prepare_edge(edge(1, "a", 5, "e", 4, "W")))
+    victim = store.in_edges((0, 3))[0]
+    assert store.out_edges((0, 1)).index(victim) == 1
+    assert store.evict_to_capacity() == [victim]
+    assert store.nodes[(0, 1)].l1 == "XbWe"
+    _assert_l1_matches(store)
