@@ -54,7 +54,6 @@ from .sketches import (
     cosine_distance,
     estimate_cosine,
     fresh_state,
-    merge,
 )
 from .store import (
     GraphStore,

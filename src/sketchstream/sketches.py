@@ -29,17 +29,18 @@ and needs no split.
 
 :meth:`HashFamily.fold` adds a map of signed chunk counts into a
 projection, and it is the only reader of the family's cache: one
-preallocated int8 slab of ``_SLAB_BYTES`` bytes, one row of
-``sketch_bits`` bytes per chunk, with a dict from chunk to row. The signs
-of a hashed block are written into the slab at once. When a map's new
-chunks do not fit, the slab is cleared all at once and refilled; it only
-memoises, so no output depends on its size. A map of a few chunks is
-folded with one ``np.add`` per chunk, a larger one as one float64 product
-of its counts with its slab rows. A map with more distinct chunks than
-the slab holds skips the slab and is folded by the uncached block
-product of ``batch_projection``. Each product is exact: every partial
-sum is an integer no larger in magnitude than the map's total count, far
-below 2**53. ``hash_values`` hashes one chunk without the slab.
+preallocated int8 slab, one row of ``sketch_bits`` bytes per chunk, and a
+dict from chunk to row. One byte budget, ``_CACHE_BYTES``, covers the
+slab, the dict and its keys. The signs of a hashed block are written into
+the slab at once. When a map's new chunks do not fit, the cache is
+cleared all at once and refilled; it only memoises, so no output depends
+on its size. A map of a few chunks is folded with one ``np.add`` per
+chunk, a larger one as one float64 product of its counts with its slab
+rows. A map with more distinct chunks than the slab holds skips the slab
+and is folded by the uncached block product of ``batch_projection``. Each
+product is exact: every partial sum is an integer no larger in magnitude
+than the map's total count, far below 2**53. ``hash_values`` hashes one
+chunk without the slab.
 
 A graph's projection vector accumulates, per function, the signed count
 of chunks hashed so far; its sketch is the sign pattern of the projection
@@ -62,9 +63,15 @@ import numpy as np
 
 from .shingles import ChunkDelta
 
-# Bytes of a family's slab of cached hash values, one int8 per function
-# and chunk: 67,108 chunks at L=1000. A full slab is cleared at once.
-_SLAB_BYTES = 1 << 26
+# Bytes of a family's whole hash-value cache. A cached chunk costs its slab
+# row, ENTRY_BYTES and its characters, so the slab has
+# _CACHE_BYTES // (sketch_bits + ENTRY_BYTES + max_chunk_len) rows: at C=16,
+# 7,345 at L=1000 and 34,663 at L=100. A full cache is cleared at once.
+_CACHE_BYTES = 1 << 23
+# Bytes of the index per cached chunk besides its characters: the dict
+# entry, the row int and the key string's header. Python 3.11's worst case,
+# traced with tracemalloc just after the dict grows to 65,536 slots: 125.1.
+ENTRY_BYTES = 126
 # A delta with at most this many distinct chunks is folded one np.add per
 # chunk; a larger one in one float64 product, which costs more to set up.
 # The two cross between 5 and 6 rows at both L=100 and L=1000 (2-core
@@ -110,7 +117,8 @@ class HashFamily:
         # Cached values, one int8 row per chunk; pages are touched only as
         # rows are written. ``_index`` maps a chunk to its row, and rows
         # 0 .. len(_index) - 1 are in use.
-        self._slab = np.empty((max(1, _SLAB_BYTES // self.sketch_bits), self.sketch_bits), np.int8)
+        rows = _CACHE_BYTES // (self.sketch_bits + ENTRY_BYTES + self.max_chunk_len)
+        self._slab = np.empty((max(1, rows), self.sketch_bits), np.int8)
         self._index: dict[str, int] = {}
 
     @classmethod
@@ -242,10 +250,6 @@ class SketchState:
         self.projection = projection
         self.sketch = sign_bits(projection)
 
-    @property
-    def sketch_bits(self) -> int:
-        return int(self.projection.shape[0])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SketchState):
             return NotImplemented
@@ -290,13 +294,6 @@ def _weighted_sum(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     One float64 product, exact while the sum of |weights| stays below 2**53.
     """
     return (weights @ values.astype(np.float64)).astype(np.int64)
-
-
-def merge(a: SketchState, b: SketchState) -> SketchState:
-    """State of the union of two graphs: projections add."""
-    if a.sketch_bits != b.sketch_bits:
-        raise ValueError("cannot merge sketches of different widths")
-    return SketchState(a.projection + b.projection)
 
 
 def _match_fraction(xa: np.ndarray, xb: np.ndarray) -> float:

@@ -75,7 +75,7 @@ class StoredEdge:
     arrival_seq: int
 
 
-@dataclass(slots=True, frozen=True)
+@dataclass(slots=True)
 class PendingEdge:
     """An edge validated and sequenced but not yet inserted."""
 

@@ -27,6 +27,7 @@ from sketchstream import (
     save_model,
     shingle_vector,
 )
+from sketchstream import sketches
 from sketchstream.clustering import UNASSIGNED
 from sketchstream.engine import report_text
 from sketchstream.shingles import ChunkDelta
@@ -335,6 +336,41 @@ def test_final_sketches_match_batch_projection_without_eviction():
         vector = shingle_vector(store, graph_id, model.hops, model.chunk_length)
         expected = batch_projection(vector, model.family)
         assert np.array_equal(state.projection, expected.projection)
+
+
+def test_the_hash_cache_budget_changes_no_output(monkeypatch):
+    # a cache of a few dozen rows, cleared again and again, gives the same
+    # snapshots and sketches as one that never fills: the cache only memoises
+    dataset = small_dataset()
+    config = small_config(hops=2)
+    model, _ = run_bootstrap(lines_of(dataset.train), config)
+    text = io.StringIO()
+    save_model(model, text)
+    sums = HashFamily._sums
+    runs = []
+    for rows in (30, None):
+        hashed = []
+
+        def counted(family, chunks):
+            hashed.extend(chunks)
+            return sums(family, chunks)
+
+        with monkeypatch.context() as patch:
+            if rows is not None:
+                row_bytes = config.sketch_bits + sketches.ENTRY_BYTES + model.chunk_length
+                patch.setattr(sketches, "_CACHE_BYTES", rows * row_bytes)
+            loaded = load_model(io.StringIO(text.getvalue()))
+            patch.setattr(HashFamily, "_sums", counted)
+            csv = io.StringIO()
+            result = run_stream(loaded, lines_of(dataset.test), config, dataset.labels, csv)
+        runs.append((csv.getvalue(), result.states, hashed))
+        assert rows is None or len(loaded.family._slab) == rows
+    (small_csv, small_states, small_hashed), (csv, states, hashed) = runs
+    assert len(small_hashed) > len(set(small_hashed))  # the small cache was cleared
+    assert len(hashed) == len(set(hashed))  # the full-size one never was
+    assert small_csv == csv
+    assert small_states.keys() == states.keys()
+    assert all(small_states[g] == states[g] for g in states)
 
 
 def test_resident_edges_respect_the_cap():

@@ -1,5 +1,6 @@
 import math
 import string
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -16,7 +17,6 @@ from sketchstream import (
     estimate_cosine,
     exact_cosine,
     fresh_state,
-    merge,
 )
 from sketchstream import sketches
 from sketchstream.shingles import ChunkDelta
@@ -158,14 +158,12 @@ def test_batch_projection_equals_folded_deltas(rng):
 
 
 def test_merge_identity_and_arithmetic():
+    # two graphs' sketches merge by adding their projections
     family = HashFamily.generate(2, 4, seed=2)
     state = batch_projection(Counter({"ab": 2, "cd": 1}), family)
-    merged = merge(state, fresh_state(2))
-    assert np.array_equal(merged.projection, state.projection)
+    assert np.array_equal(state.projection + fresh_state(2).projection, state.projection)
 
-    a = SketchState(np.array([2, -1]))
-    b = SketchState(np.array([-1, -1]))
-    out = merge(a, b)
+    out = SketchState(np.array([2, -1]) + np.array([-1, -1]))
     assert out.projection.tolist() == [1, -2]
     assert out.sketch.tolist() == [1, -1]
 
@@ -185,14 +183,9 @@ def test_merge_equals_projection_of_counter_sum(rng):
 
     for _ in range(25):
         z1, z2 = random_counts(), random_counts()
-        merged = merge(batch_projection(z1, family), batch_projection(z2, family))
+        summed = batch_projection(z1, family).projection + batch_projection(z2, family).projection
         direct = batch_projection(z1 + z2, family)
-        assert np.array_equal(merged.projection, direct.projection)
-
-
-def test_merge_rejects_width_mismatch():
-    with pytest.raises(ValueError):
-        merge(fresh_state(4), fresh_state(8))
+        assert np.array_equal(summed, direct.projection)
 
 
 def test_estimate_cosine_endpoints():
@@ -356,7 +349,8 @@ def _count_hashed(monkeypatch):
 
 
 def _slab_family(monkeypatch, slab_rows, sketch_bits, max_chunk_len, seed):
-    monkeypatch.setattr(sketches, "_SLAB_BYTES", slab_rows * sketch_bits)
+    row_bytes = sketch_bits + sketches.ENTRY_BYTES + max_chunk_len
+    monkeypatch.setattr(sketches, "_CACHE_BYTES", slab_rows * row_bytes)
     family = HashFamily.generate(sketch_bits, max_chunk_len, seed=seed)
     assert len(family._slab) == slab_rows
     return family
@@ -422,6 +416,37 @@ def test_held_values_survive_a_slab_clear(rng, monkeypatch):
     assert chunks[0] not in family._index
     assert np.array_equal(held, expected)
     assert held.tolist() == _reference_rows(family, chunks[:1])[0]
+
+
+# 5,462 and 21,846 entries come just after the index dict grows to 16,384
+# and 65,536 slots, where it holds the most bytes per entry.
+@pytest.mark.parametrize("rows", [None, 5462, 21846], ids=["budget", "dict-16k", "dict-64k"])
+@pytest.mark.parametrize("sketch_bits, max_chunk_len", [(100, 64), (1000, 16)])
+def test_a_full_cache_stays_within_its_byte_budget(monkeypatch, sketch_bits, max_chunk_len, rows):
+    row_bytes = sketch_bits + sketches.ENTRY_BYTES + max_chunk_len
+    if rows is not None:
+        monkeypatch.setattr(sketches, "_CACHE_BYTES", rows * row_bytes)
+    budget = sketches._CACHE_BYTES
+    family = HashFamily.generate(sketch_bits, max_chunk_len, seed=5)
+    capacity = len(family._slab)
+    assert capacity == budget // row_bytes
+    projection = np.zeros(sketch_bits, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        # one fold into a family of its own first fills numpy's small-buffer cache
+        HashFamily.generate(sketch_bits, max_chunk_len, seed=6).fold(projection, _weights("ab"))
+        before = tracemalloc.get_traced_memory()[0]
+        for start in range(0, capacity, 64):
+            chunks = [f"{i:0{max_chunk_len}d}" for i in range(start, min(start + 64, capacity))]
+            family.fold(projection, dict.fromkeys(chunks, 1))
+        del chunks  # the index holds the only references to its keys
+        index_bytes = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(family._index) == capacity
+    assert index_bytes + family._slab.nbytes <= budget
+    # ENTRY_BYTES is a measured worst case, not a loose guess
+    assert index_bytes + family._slab.nbytes >= 0.9 * budget
 
 
 @pytest.fixture(scope="module")
