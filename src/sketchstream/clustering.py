@@ -19,7 +19,8 @@ update re-evaluates its graph against the nearest centroid: close enough
 means the graph (re)joins that cluster and the centroid mean is adjusted
 incrementally; too far means the graph is pulled out of its cluster and
 marked as attack. Centroid projections are kept as real-valued running
-means because the incremental updates divide by cluster sizes.
+means because the incremental updates divide by cluster sizes; each
+change to a mean re-signs that centroid's row of bool sketches in place.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ def silhouette(distances: np.ndarray, assignments: np.ndarray) -> float:
     return float(np.add.accumulate(terms)[-1] / n)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AnomalyEvent:
     """Result of re-scoring one graph after a sketch update."""
 
@@ -220,6 +221,7 @@ class ClusterModel:
         self.sizes = np.asarray(sizes, dtype=np.int64).copy()
         self.thresholds = np.asarray(thresholds, dtype=np.float64).copy()
         self.live = self.sizes > 0
+        self._retired = not self.live.all()  # whether distances_to must mask
         if not (len(self.sizes) == len(self.thresholds) == centroids.shape[0]):
             raise ValueError("centroids, sizes and thresholds must align")
         # Estimated cosine distance for each count of matching sketch bits,
@@ -242,7 +244,8 @@ class ClusterModel:
     def distances_to(self, sketch: np.ndarray) -> np.ndarray:
         """Estimated cosine distance to every centroid; retired ones are inf."""
         distances = self._distance_of_matches[(self.sketches == sketch).sum(axis=1)]
-        distances[~self.live] = np.inf
+        if self._retired:
+            distances[~self.live] = np.inf
         return distances
 
     def update_graph(self, graph_id: int, state: SketchState) -> AnomalyEvent:
@@ -304,13 +307,14 @@ class ClusterModel:
             # cluster instead. It is never matched again.
             self.sizes[cluster] = 0
             self.live[cluster] = False
+            self._retired = True
             return
         self.centroids[cluster] = (self.centroids[cluster] * size - projection) / (size - 1)
         self.sizes[cluster] = size - 1
         self._resign(cluster)
 
     def _resign(self, cluster: int) -> None:
-        self.sketches[cluster] = sign_bits(self.centroids[cluster])
+        np.greater_equal(self.centroids[cluster], 0, out=self.sketches[cluster])
 
     def _score_against(self, nearest: int, sketch: np.ndarray, fallback: float) -> float:
         if self.live[nearest]:

@@ -12,7 +12,9 @@ node's out-edge labels concatenated, so at one and two hops the delta
 builds each affected node's new shingle from these strings and cuts the
 new label out again for the old one (see ``shingles.edge_delta``); no
 chunk state outlives an edge. The sketch update hashes only the delta's
-chunks that the hash family has not cached, all in one product.
+chunks that the hash family has not cached, all in one product, and adds
+the delta into a copy of the graph's float64 projection of exact
+integers; the new sketch is its bool sign pattern.
 
 Evicted edges never roll sketches back: a graph's projection accumulates
 over everything it has seen, while deltas for later edges are computed on

@@ -299,7 +299,7 @@ def write_labels(labels: Mapping[int, str], fp: IO[str]) -> None:
 
 
 def read_labels(lines: Iterable[str]) -> dict[int, str]:
-    """Parse a labels file: ``graph_id\\tlabel`` per line, blank lines skipped.
+    """Parse a labels file: ``graph_id\\tlabel`` per line, empty lines ``"\\n"`` skipped.
 
     The graph id is ASCII digits alone and the label is exactly ``normal``
     or ``anomaly``. Raises ``ValueError`` naming the first line that is
@@ -307,7 +307,7 @@ def read_labels(lines: Iterable[str]) -> dict[int, str]:
     """
     labels: dict[int, str] = {}
     for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
+        if line == "\n":
             continue
         line = line.rstrip("\n")
         graph_id, _, label = line.partition("\t")

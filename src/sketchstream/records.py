@@ -91,10 +91,10 @@ def format_edge(rec: EdgeRecord) -> str:
 def read_stream(lines: Iterable[str]) -> Iterator[EdgeRecord]:
     """Parse an iterable of lines, numbering them from 1 for error reports.
 
-    Blank lines are skipped.
+    An empty line ``"\\n"`` is skipped; every other line must parse.
     """
     for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
+        if line == "\n":
             continue
         yield parse_edge(line, line_no)
 

@@ -222,6 +222,27 @@ def test_cli_rejects_crlf_files_on_line_1(generated, tmp_path, capsys, crlf, err
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "name, error",
+    [("test.tsv", "error: line 2: "), ("labels.tsv", "error: labels line 2: ")],
+    ids=["stream", "labels"],
+)
+def test_cli_rejects_a_whitespace_only_line(generated, tmp_path, capsys, name, error):
+    paths = dict(generated)
+    paths[name] = tmp_path / name
+    first, rest = generated[name].read_text().split("\n", 1)
+    paths[name].write_text(first + "\n \t \n" + rest)
+    capsys.readouterr()
+    code = run_cli(
+        "stream", "--model", paths["m.model"], "-i", paths["test.tsv"],
+        "--labels", paths["labels.tsv"], "--csv-out", tmp_path / "out.csv",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(error)
+    assert "Traceback" not in err
+
+
 def test_cli_rejects_labels_that_leave_out_a_streamed_graph(generated, tmp_path, capsys):
     lines = generated["labels.tsv"].read_text().splitlines(keepends=True)
     labels = tmp_path / "labels.tsv"

@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 from collections import Counter
@@ -29,7 +30,9 @@ from sketchstream.clustering import (
     chunk_length_entropies,
     pairwise_distance_matrix,
 )
+from sketchstream.engine import load_model, save_model
 from sketchstream.generator import LABEL_NORMAL
+from sketchstream.sketches import sign_bits
 
 
 # -- entropy and chunk-length selection --------------------------------------
@@ -460,7 +463,7 @@ def test_nearest_choice_matches_raw_match_fraction(rng):
     centroids = rng.normal(size=(5, 64))
     model = ClusterModel(family, 1, 4, centroids, [2] * 5, [0.5] * 5)
     for _ in range(50):
-        sketch = np.where(rng.random(64) < 0.5, 1, -1).astype(np.int8)
+        sketch = rng.random(64) < 0.5
         distances = model.distances_to(sketch)
         mismatches = (model.sketches != sketch).sum(axis=1)
         assert int(np.argmin(distances)) == int(np.argmin(mismatches))
@@ -539,6 +542,76 @@ def test_model_keeps_states_by_recency_and_forgets_them():
     assert 1 not in model.assignments and 1 not in model.scores
     assert model.sizes[0] == 4
     np.testing.assert_allclose(model.centroids[0], (6.0 * 3 + 4.0) / 4)
+
+
+def _assert_sketches_and_retired_clusters(model, sketch):
+    # each centroid's sketch is re-signed after every change to its mean
+    assert model.sketches.dtype == bool
+    assert np.array_equal(model.sketches, sign_bits(model.centroids))
+    distances = model.distances_to(sketch)
+    assert np.all(np.isinf(distances[~model.live]))
+    assert np.all(np.isfinite(distances[model.live]))
+
+
+def test_sketches_and_retired_clusters_hold_through_random_events():
+    rng = np.random.default_rng(17)
+    bits, n_members = 16, 12
+    prototypes = np.where(rng.random((4, bits)) < 0.5, -10.0, 10.0)
+    # the bootstrap members stream again, so the last one to leave a
+    # cluster retires it
+    homes = np.array([0, 1, 1, 2, 2, 2, 3, 3, 3, 3, 3, 3])
+    projections = prototypes[homes] + rng.integers(-3, 4, size=(n_members, bits))
+    centroids = np.stack([projections[homes == q].mean(axis=0) for q in range(4)])
+    sizes = np.bincount(homes)
+    model = ClusterModel(HashFamily.generate(bits, 4, seed=1), 1, 4, centroids, sizes, [0.35] * 4)
+    for g in range(n_members):
+        model.states[g] = SketchState(projections[g])
+        model.assignments[g] = int(homes[g])
+    kinds = Counter()
+    for _ in range(3000):
+        g = int(rng.integers(0, n_members + 4))
+        old = model.states.get(g, fresh_state(bits)).projection
+        jump = rng.random()
+        if jump < 0.05:  # to another cluster's pattern
+            projection = prototypes[rng.integers(0, 4)] + rng.integers(-3, 4, size=bits)
+        elif jump < 0.08:  # to no cluster's
+            projection = rng.integers(-10, 11, size=bits).astype(np.float64)
+        else:
+            projection = old + rng.integers(-2, 3, size=bits)
+        previous = model.assignments.get(g, UNASSIGNED)
+        live = int(model.live.sum())
+        state = SketchState(projection)
+        event = model.update_graph(g, state)
+        if event.flagged:
+            kinds["flag"] += 1
+        elif not isinstance(previous, int):
+            kinds["join"] += 1
+        elif previous == event.nearest:
+            kinds["update"] += 1
+        else:
+            kinds["reassign"] += 1
+        kinds["retire"] += live - int(model.live.sum())
+        _assert_sketches_and_retired_clusters(model, state.sketch)
+    assert min(kinds[k] for k in ("flag", "join", "update", "reassign")) >= 20, kinds
+    assert 1 <= kinds["retire"] < 4, kinds
+
+
+def test_a_loaded_cluster_of_size_zero_is_never_nearest():
+    bits = 8
+    centroids = np.array([[3.0] * bits, [-3.0] * 4 + [3.0] * 4, [-3.0] * bits])
+    built = ClusterModel(HashFamily.generate(bits, 4, seed=2), 1, 4, centroids, [2, 0, 1], [2.5] * 3)
+    text = io.StringIO()
+    save_model(built, text)
+    assert "cluster 1 size 0 " in text.getvalue()
+    model = load_model(io.StringIO(text.getvalue()))
+    assert model.live.tolist() == [True, False, True]
+    for g, projection in enumerate(centroids):
+        state = SketchState(projection.copy())
+        _assert_sketches_and_retired_clusters(model, state.sketch)
+        event = model.update_graph(g, state)
+        assert event.nearest != 1
+    # cluster 1's own pattern is 4 of 8 bits from both live clusters
+    assert model.assignments[1] in (0, 2)
 
 
 # -- bootstrap ----------------------------------------------------------------

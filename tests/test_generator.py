@@ -184,6 +184,10 @@ def test_labels_file_round_trip(tmp_path):
         pytest.param("3 normal\n", 1, id="space-separator"),
         pytest.param("3\tnormal\tx\n", 1, id="third-field"),
         pytest.param("\n3\tnormal\n3\tanomaly\n", 3, id="repeated-id"),
+        # only the empty line "\n" is skipped
+        pytest.param("4\tanomaly\n\n" + "\t" * 6 + "\n", 3, id="tabs-only"),
+        pytest.param("4\tanomaly\n\n\r\n", 3, id="crlf-only"),
+        pytest.param("4\tanomaly\n\n  \n", 3, id="spaces-only"),
     ],
 )
 def test_read_labels_rejects_a_malformed_or_repeated_line(text, line_no):

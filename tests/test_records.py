@@ -61,6 +61,21 @@ def test_read_stream_numbers_lines_and_skips_blanks():
         list(read_stream(["1\ta\t2\tb\t5\tx\t0\n", "broken\n"]))
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        pytest.param("\t" * 6 + "\n", "field source_id: ''", id="six-tabs"),
+        pytest.param("\r\n", "1 fields, expected 7", id="crlf"),
+        pytest.param("  \n", "1 fields, expected 7", id="spaces"),
+    ],
+)
+def test_read_stream_rejects_a_whitespace_only_line(line, message):
+    # only the empty line "\n" is skipped; these name their line
+    lines = ["\n", line, "1\ta\t2\tb\t5\tx\t0\n"]
+    with pytest.raises(ParseError, match=f"^line 2: {message}"):
+        list(read_stream(lines))
+
+
 _symbol = st.text(
     alphabet=st.characters(min_codepoint=0x21, max_codepoint=0x7E), min_size=1, max_size=1
 )

@@ -90,8 +90,8 @@ def test_wrapping_matches_unbounded_parity():
 
 def test_fresh_state_is_all_plus_one():
     state = fresh_state(16)
-    assert np.all(state.projection == 0)
-    assert np.all(state.sketch == 1)  # sign(0) = +1
+    assert state.projection.dtype == np.float64 and np.all(state.projection == 0)
+    assert state.sketch.dtype == bool and np.all(state.sketch)  # sign(0) = +1
 
 
 def test_apply_empty_delta_is_identity():
@@ -105,7 +105,7 @@ def test_apply_single_negative_chunk():
     family = fixed_family([[2, 4]] * 6)  # hashes every single char to -1
     state = apply_delta(fresh_state(6), family, ChunkDelta.cancelled(["q"], []))
     assert state.projection.tolist() == [-1] * 6
-    assert state.sketch.tolist() == [-1] * 6
+    assert state.sketch.tolist() == [False] * 6  # False stands for -1
 
 
 def test_incoming_then_outgoing_cancels():
@@ -163,9 +163,9 @@ def test_merge_identity_and_arithmetic():
     state = batch_projection(Counter({"ab": 2, "cd": 1}), family)
     assert np.array_equal(state.projection + fresh_state(2).projection, state.projection)
 
-    out = SketchState(np.array([2, -1]) + np.array([-1, -1]))
+    out = SketchState(np.array([2.0, -1.0]) + np.array([-1.0, -1.0]))
     assert out.projection.tolist() == [1, -2]
-    assert out.sketch.tolist() == [1, -1]
+    assert out.sketch.tolist() == [True, False]
 
 
 def test_merge_equals_projection_of_counter_sum(rng):
@@ -202,6 +202,17 @@ def test_estimate_cosine_endpoints():
 def test_estimate_rejects_width_mismatch():
     with pytest.raises(ValueError):
         estimate_cosine(np.ones(4, dtype=np.int8), np.ones(5, dtype=np.int8))
+
+
+def test_estimate_rejects_dtype_mismatch():
+    # a bool sketch against a ±1 int8 one would match only where both are +1
+    sketch = fresh_state(4).sketch
+    for other in (np.ones(4, dtype=np.int8), np.ones(4)):
+        with pytest.raises(ValueError, match="dtypes"):
+            estimate_cosine(sketch, other)
+        with pytest.raises(ValueError, match="dtypes"):
+            cosine_distance(other, sketch)
+    assert cosine_distance(sketch, sketch.copy()) == 0.0
 
 
 def test_cosine_distance_strictly_grows_as_matches_drop():
@@ -258,7 +269,8 @@ def test_every_function_is_balanced_over_random_chunks(rng):
 
 def test_sign_bits_is_plus_one_at_zero():
     values = np.array([-2.0, -0.0, 0.0, 0.5], dtype=np.float64)
-    assert sign_bits(values).tolist() == [-1, 1, 1, 1]
+    assert sign_bits(values).tolist() == [False, True, True, True]
+    assert sign_bits(values).dtype == bool
 
 
 # -- batched hashing -------------------------------------------------------------
@@ -283,7 +295,7 @@ def _weights(chunks):
 
 
 def _folded(family, counts):
-    projection = np.zeros(family.sketch_bits, dtype=np.int64)
+    projection = np.zeros(family.sketch_bits)
     family.fold(projection, counts)
     return projection.tolist()
 
@@ -307,6 +319,28 @@ def test_fold_matches_scalar_path_on_mixed_lengths(rng):
     assert values.dtype == np.int8 and values.shape == (1000,)
     values[:] = 0  # writing to them leaves the cached values alone
     assert _folded(family, counts) == _reference_fold(family, counts)
+
+
+@pytest.mark.parametrize("rows", [1, 5, 6, 12], ids=["loop-1", "loop-5", "product-6", "product-12"])
+def test_fold_is_exact_for_counts_up_to_2_pow_40(rng, rows):
+    # a projection is float64 and exact while every entry stays below 2**53:
+    # start at ±2**52 and fold counts up to ±2**40, against Python ints
+    family = HashFamily.generate(64, 6, seed=40)
+    chunks = list(dict.fromkeys(_random_chunks(rng, 40, 6)))[:rows]
+    # the loop adds ±1 by itself and any other count as a product
+    pattern = [2**40, -1, 1, -(2**40), 2**40 - 3, 7 - 2**40]
+    counts = {chunk: pattern[i % 6] for i, chunk in enumerate(chunks)}
+    start = [(-1) ** l * 2**52 for l in range(64)]
+    expected = [
+        start[l] + sum(count * family.hash_chunk(l, c) for c, count in counts.items())
+        for l in range(64)
+    ]
+    assert max(map(abs, expected)) < 2**53
+    for _ in range(2):  # hashed, then from the slab
+        projection = np.array(start, dtype=np.float64)
+        family.fold(projection, counts)
+        assert projection.tolist() == expected
+    assert (batch_projection(counts, family).projection + start).tolist() == expected
 
 
 def _reference_sums(family, chunks):
@@ -430,7 +464,7 @@ def test_a_full_cache_stays_within_its_byte_budget(monkeypatch, sketch_bits, max
     family = HashFamily.generate(sketch_bits, max_chunk_len, seed=5)
     capacity = len(family._slab)
     assert capacity == budget // row_bytes
-    projection = np.zeros(sketch_bits, dtype=np.int64)
+    projection = np.zeros(sketch_bits)
     tracemalloc.start()
     try:
         # one fold into a family of its own first fills numpy's small-buffer cache
@@ -507,6 +541,6 @@ def test_family_refuses_chunk_lengths_outside_the_exact_range():
     assert family.hash_values(chunk).tolist() == _reference_rows(family, [chunk])[0]
     for bad in ("~" * (MAX_EXACT_CHUNK_LEN + 1), ""):
         with pytest.raises(ValueError):
-            family.fold(np.zeros(2, dtype=np.int64), {"ok": 1, bad: 1})
+            family.fold(np.zeros(2), {"ok": 1, bad: 1})
         with pytest.raises(ValueError):
             family.hash_values(bad)
