@@ -19,14 +19,12 @@ from .records import ParseError, write_stream
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    parts = [part for part in text.split(",") if part]
-    # int() alone also takes "1_6", " 16" and non-ASCII digits such as "\u0663".
+    parts = text.split(",")
+    # int() alone also takes "1_6", " 16" and non-ASCII digits such as "\u0663";
+    # an empty item, as in "16,,32" or "16,", is refused too.
     if not all(part.isascii() and part.isdigit() for part in parts):
         raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated int list")
-    values = tuple(int(part) for part in parts)
-    if not values:
-        raise argparse.ArgumentTypeError("list must not be empty")
-    return values
+    return tuple(int(part) for part in parts)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,6 +13,12 @@ vectors, its sign sketch, and an anomaly threshold of mean plus three
 standard deviations of the member-to-centroid sketch distances (a
 one-sided tail bound caps the false-positive rate at 10%).
 
+Each node's shingle is built once. The chunk vectors are built one
+candidate length at a time and freed once that length's matrix is built;
+the chosen length's vectors are built again for the centroids. So at its
+peak, set-up holds the whole training store, every node shingle, one
+candidate length's vectors and the matrices.
+
 In streaming mode the model keeps each tracked graph's latest sketch
 state, so it can take out of a mean exactly what it folded in. Every
 update re-evaluates its graph against the nearest centroid: close enough
@@ -325,25 +331,12 @@ class ClusterModel:
         return fallback
 
 
-def _vectors_by_length(
-    store: GraphStore, graph_ids: Sequence[int], hops: int, lengths: Sequence[int]
-) -> dict[int, list[Counter]]:
-    """Chunk-frequency vector of every graph at every chunk length.
-
-    Each node's shingle is built once and chunked at every length. The
-    shingles are freed on return, before the distance matrices are built.
-    """
-    shingle_lists = [
-        [node_shingle(store, node, hops) for node in store.graph_nodes(g)]
-        for g in graph_ids
+def _chunk_vectors(shingle_lists: Sequence[list[str]], length: int) -> list[Counter]:
+    """Chunk-frequency vector of every graph, from its node shingles, at one length."""
+    return [
+        Counter(chunk for s in shingles for chunk in chunk_shingle(s, length))
+        for shingles in shingle_lists
     ]
-    return {
-        length: [
-            Counter(chunk for s in shingles for chunk in chunk_shingle(s, length))
-            for shingles in shingle_lists
-        ]
-        for length in sorted(set(lengths))
-    }
 
 
 def bootstrap_model(
@@ -370,11 +363,16 @@ def bootstrap_model(
             f"need at least {counts[-1]} training graphs, have {len(graph_ids)}"
         )
 
-    vectors_by_length = _vectors_by_length(store, graph_ids, hops, candidate_chunk_lengths)
+    # Each node's shingle is built once and chunked at every length.
+    shingle_lists = [
+        [node_shingle(store, node, hops) for node in store.graph_nodes(g)]
+        for g in graph_ids
+    ]
     # Keep every matrix: the chosen length's one is reused for clustering.
+    # Each length's vectors die with its call, before the next are built.
     distances_by_length = {
-        length: pairwise_distance_matrix(vectors)
-        for length, vectors in vectors_by_length.items()
+        length: pairwise_distance_matrix(_chunk_vectors(shingle_lists, length))
+        for length in sorted(set(candidate_chunk_lengths))
     }
     entropies = chunk_length_entropies(distances_by_length)
     chunk_length = pick_chunk_length(entropies)
@@ -393,7 +391,7 @@ def bootstrap_model(
     quality, n_clusters, assignments = best
 
     family = HashFamily.generate(sketch_bits, chunk_length, family_seed)
-    states = [batch_projection(v, family) for v in vectors_by_length[chunk_length]]
+    states = [batch_projection(v, family) for v in _chunk_vectors(shingle_lists, chunk_length)]
     projections = np.stack([state.projection for state in states])
     centroids = np.zeros((n_clusters, sketch_bits), dtype=np.float64)
     sizes = np.zeros(n_clusters, dtype=np.int64)

@@ -266,7 +266,9 @@ def test_cli_rejects_bad_int_list(capsys):
                 "--chunk-lengths", "a,b", "--seed", 1, "--family-seed", 2)
 
 
-@pytest.mark.parametrize("text", ["1_6,\u06632", "16, 32", "+16", "\uff11\uff16"])
+@pytest.mark.parametrize(
+    "text", ["1_6,\u06632", "16, 32", "+16", "\uff11\uff16", "16,,32", ",16", "16,"]
+)
 def test_cli_rejects_int_lists_that_only_int_accepts(text, capsys):
     # int() reads "1_6,\u06632" as (16, 32); the option takes ASCII digits only.
     with pytest.raises(SystemExit):

@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -25,6 +26,7 @@ from sketchstream import (
     pick_chunk_length,
     silhouette,
 )
+import sketchstream.clustering as clustering
 from sketchstream.clustering import (
     anomaly_threshold,
     chunk_length_entropies,
@@ -697,3 +699,28 @@ def test_bootstrap_requires_enough_graphs():
             cluster_seed=0,
             family_seed=0,
         )
+
+
+def test_bootstrap_frees_each_lengths_vectors_before_the_next(monkeypatch):
+    # One candidate length's chunk vectors are alive at a time: each dies
+    # with its distance matrix call, before the next length's are built.
+    store, _ = _training_store()
+    build_matrix = clustering.pairwise_distance_matrix
+    held = []
+
+    def traced(vectors):
+        assert all(ref() is None for ref in held), "a previous length's vectors are alive"
+        held.append(weakref.ref(vectors[0]))
+        return build_matrix(vectors)
+
+    monkeypatch.setattr(clustering, "pairwise_distance_matrix", traced)
+    bootstrap_model(
+        store,
+        hops=1,
+        candidate_chunk_lengths=(2, 4, 8, 8),
+        candidate_cluster_counts=(2, 3),
+        sketch_bits=64,
+        cluster_seed=5,
+        family_seed=6,
+    )
+    assert len(held) == 3

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sketchstream import GraphStore, NodeTypeConflictError, OutOfOrderEdgeError
+import sketchstream.engine as engine
+from sketchstream import GraphStore, NodeTypeConflictError, OutOfOrderEdgeError, edge_delta
 
 from conftest import edge, build_store
+from test_engine import lines_of, small_config, small_dataset
 
 
 def test_insert_under_capacity_reports_new_nodes():
@@ -308,3 +310,45 @@ def test_evicting_a_later_out_edge_cuts_its_own_label():
     assert store.evict_to_capacity() == [victim]
     assert store.nodes[(0, 1)].l1 == "XbWe"
     _assert_l1_matches(store)
+
+
+def _assert_edges_hold_node_keys(store):
+    keys = {key: key for key in store.nodes}
+    for entry in store.nodes.values():
+        for e in entry.out + entry.inc:
+            assert e.source is keys[e.source] and e.dest is keys[e.dest]
+
+
+def test_edges_share_the_key_objects_of_their_nodes():
+    # A small cap evicts nodes that later edges bring back, and drops
+    # forget whole graphs; every resident edge still holds the very key
+    # tuples that its endpoints are stored under. A new node's self-loop
+    # holds its one key at both ends.
+    _assert_edges_hold_node_keys(build_store([edge(1, "a", 1, "a", 1)]))
+    store = GraphStore(capacity=40)
+    forgotten, returned = set(), 0
+    for n, rec in enumerate(small_dataset().test, start=1):
+        endpoints = {(rec.graph_id, rec.source_id), (rec.graph_id, rec.dest_id)}
+        returned += sum(not store.has_node(node) for node in endpoints & forgotten)
+        before = set(store.nodes)
+        edge_delta(store, rec, 2, 4)
+        forgotten |= before - set(store.nodes)
+        if n % 150 == 0:
+            forgotten |= store.drop_graph(rec.graph_id)
+        _assert_edges_hold_node_keys(store)
+    assert returned > 0 and store.total_edges > 0
+
+
+def test_bootstrap_store_edges_share_the_key_objects_of_their_nodes(monkeypatch):
+    stores = []
+    bootstrap_model = engine.bootstrap_model
+
+    def keep_store(store, **kwargs):
+        stores.append(store)
+        return bootstrap_model(store, **kwargs)
+
+    monkeypatch.setattr(engine, "bootstrap_model", keep_store)
+    engine.run_bootstrap(lines_of(small_dataset().train), small_config())
+    (store,) = stores
+    assert store.total_edges > 0
+    _assert_edges_hold_node_keys(store)
