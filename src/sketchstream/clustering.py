@@ -2,8 +2,9 @@
 
 Bootstrapping (:func:`bootstrap_model`) clusters every graph of a store.
 It builds one exact-cosine distance matrix per candidate chunk length,
-with each vector's squared norm taken once, and picks a chunk length by
-the entropy of the distances (a lone candidate is its own pick). It groups
+from one integer Gram product over the chunks that two or more graphs
+share (bitwise equal to the per-pair integer rule), and picks a chunk
+length by the entropy of the distances (a lone candidate is its own pick). It groups
 the graphs with k-medoids at the cluster count maximizing the silhouette.
 Both work on the matrix in array form: k-medoids prices every swap of a
 medoid slot with one minimum against all candidate columns, and the
@@ -17,7 +18,9 @@ Each node's shingle is built once. The chunk vectors are built one
 candidate length at a time and freed once that length's matrix is built;
 the chosen length's vectors are built again for the centroids. So at its
 peak, set-up holds the whole training store, every node shingle, one
-candidate length's vectors and the matrices.
+candidate length's vectors and the matrices. While it builds a matrix it
+also holds a set of that length's chunks, three arrays with one entry per
+(graph, chunk) and one n-by-``_GRAM_BLOCK`` block of counts.
 
 In streaming mode the model keeps each tracked graph's latest sketch
 state, so it can take out of a mean exactly what it folded in. Every
@@ -27,6 +30,8 @@ incrementally; too far means the graph is pulled out of its cluster and
 marked as attack. Centroid projections are kept as real-valued running
 means because the incremental updates divide by cluster sizes; each
 change to a mean re-signs that centroid's row of bool sketches in place.
+An update's score is its distance to the nearest centroid, counted again
+only when the update moved that centroid.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .shingles import _cosine, _dot, _squared_norm, chunk_shingle, node_shingle
+from .shingles import chunk_shingle, node_shingle
 from .sketches import (
     HashFamily,
     SketchState,
@@ -52,6 +57,8 @@ ATTACK = "ATTACK"
 
 # Histogram resolution for the chunk-length entropy curve.
 DEFAULT_ENTROPY_BINS = 10
+# Chunk columns per dense block of the bootstrap's Gram product.
+_GRAM_BLOCK = 64
 
 
 def pairwise_entropy(distances: Sequence[float], bins: int) -> float:
@@ -71,17 +78,45 @@ def pairwise_entropy(distances: Sequence[float], bins: int) -> float:
 def pairwise_distance_matrix(vectors: Sequence[Counter]) -> np.ndarray:
     """Symmetric exact-cosine distance matrix with zero diagonal.
 
-    Entry (i, j) equals ``exact_cosine_distance(vectors[i], vectors[j])``;
-    each vector's squared norm is taken once.
+    Entry (i, j) equals ``exact_cosine_distance(vectors[i], vectors[j])``.
+    The dot products are one integer Gram product over the chunks that two
+    or more vectors hold, summed over dense blocks of ``_GRAM_BLOCK`` chunk
+    columns, one block alive at a time; the squared norms come from the
+    counts. While every norm stays below 2**53, each integer converts to
+    float64 exactly, and the cosine rounds the norm product and its square
+    root once each, as the integer rule does.
     """
     n = len(vectors)
-    norms = [_squared_norm(v) for v in vectors]
-    matrix = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = 1.0 - _cosine(_dot(vectors[i], vectors[j]), norms[i], norms[j])
-            matrix[i, j] = d
-            matrix[j, i] = d
+    # Two sets take less room than a count per chunk.
+    seen, shared = set(), set()
+    for v in vectors:
+        shared.update(v.keys() & seen)
+        seen.update(v.keys())
+    del seen
+    columns = {chunk: column for column, chunk in enumerate(shared)}
+    # One entry per (vector, chunk); a chunk of one vector alone is column -1.
+    ids = np.fromiter((columns.get(chunk, -1) for v in vectors for chunk in v), np.int32)
+    counts = np.fromiter((k for v in vectors for k in v.values()), np.int64, ids.size)
+    rows = np.repeat(np.arange(n), [len(v) for v in vectors])
+    dots = np.zeros((n, n), dtype=np.int64)
+    block = np.empty((n, _GRAM_BLOCK), dtype=np.int64)
+    for start in range(0, len(columns), _GRAM_BLOCK):
+        inside = np.flatnonzero((ids >= start) & (ids < start + _GRAM_BLOCK))
+        block.fill(0)
+        block[rows[inside], ids[inside] - start] = counts[inside]
+        dots += block @ block.T
+    norms = np.array([sum(k * k for k in v.values()) for v in vectors], dtype=np.float64)
+    # The integer rule clamps to [0, 1]; counts are non-negative, so only
+    # the top bound can bind.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cosine = np.minimum(dots / np.sqrt(np.outer(norms, norms)), 1.0)
+    # The zero-vector rule: two zero vectors are identical, one is orthogonal.
+    empty = norms == 0
+    cosine[empty, :] = 0.0
+    cosine[:, empty] = 0.0
+    cosine[np.ix_(empty, empty)] = 1.0
+    matrix = 1.0 - cosine
+    np.fill_diagonal(matrix, 0.0)
     return matrix
 
 
@@ -280,7 +315,12 @@ class ClusterModel:
             self._add(nearest, state.projection)
             self.assignments[graph_id] = nearest
 
-        score = self._score_against(nearest, sketch, distance)
+        if flagged and previous != nearest:
+            # A flag moves only the previous cluster's centroid, so the
+            # distance to the nearest one is still the score.
+            score = distance
+        else:
+            score = self._score_against(nearest, sketch, distance)
         self.scores[graph_id] = score
         return AnomalyEvent(score=score, nearest=nearest, flagged=flagged)
 

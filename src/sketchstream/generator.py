@@ -23,7 +23,7 @@ from typing import IO, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .records import EdgeRecord
+from .records import EdgeRecord, _too_many_digits
 
 LABEL_NORMAL = "normal"
 LABEL_ANOMALY = "anomaly"
@@ -301,8 +301,8 @@ def write_labels(labels: Mapping[int, str], fp: IO[str]) -> None:
 def read_labels(lines: Iterable[str]) -> dict[int, str]:
     """Parse a labels file: ``graph_id\\tlabel`` per line, empty lines ``"\\n"`` skipped.
 
-    The graph id is ASCII digits alone and the label is exactly ``normal``
-    or ``anomaly``. Raises ``ValueError`` naming the first line that is
+    The graph id is ASCII digits alone, within the int digit limit, and the
+    label is exactly ``normal`` or ``anomaly``. Raises ``ValueError`` naming the first line that is
     not, or that repeats a graph id.
     """
     labels: dict[int, str] = {}
@@ -317,7 +317,11 @@ def read_labels(lines: Iterable[str]) -> dict[int, str]:
                 f"labels line {line_no}: expected '<graph id><TAB>{LABEL_NORMAL}' or "
                 f"'<graph id><TAB>{LABEL_ANOMALY}', found {line!r}"
             )
-        if int(graph_id) in labels:
-            raise ValueError(f"labels line {line_no}: graph {int(graph_id)} is labelled twice")
-        labels[int(graph_id)] = label
+        try:
+            graph = int(graph_id)
+        except ValueError:
+            raise ValueError(f"labels line {line_no}: {_too_many_digits(graph_id)}") from None
+        if graph in labels:
+            raise ValueError(f"labels line {line_no}: graph {graph} is labelled twice")
+        labels[graph] = label
     return labels

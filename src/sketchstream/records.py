@@ -6,14 +6,29 @@ graph id. Ids and timestamps are decimal non-negative integers written
 in ASCII digits alone, with no sign, space or underscore; type symbols
 are single printable ASCII characters. Lines are LF terminated; a CR
 before the LF is part of the last field, which then fails to parse.
+An id or timestamp longer than Python's int() digit limit (4,300 digits
+by default) fails like any other malformed number.
+
+:func:`parse_edge` checks a whole line with one precompiled pattern and
+falls back to :func:`parse_edge_fields`, the field-by-field reference,
+only when the pattern does not match or a number is over the digit limit.
+So a rejected line gets the reference's error, and an accepted one its
+record.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
 FIELD_SEPARATOR = "\t"
+
+# A valid line, trailing LFs included: [0-9] and [ -~] are ASCII only.
+_LINE = re.compile(
+    r"([0-9]+)\t([ -~])\t([0-9]+)\t([ -~])\t([0-9]+)\t([ -~])\t([0-9]+)\n*"
+).fullmatch
 
 
 class ParseError(ValueError):
@@ -48,9 +63,24 @@ def parse_edge(line: str, line_no: int | None = None) -> EdgeRecord:
 
     Raises :class:`ParseError` naming the offending line and field on a
     wrong field count, an id or timestamp that is not a string of ASCII
-    digits, or a type symbol that is not a single printable ASCII
-    character.
+    digits within the int digit limit, or a type symbol that is not a
+    single printable ASCII character.
     """
+    match = _LINE(line)
+    if match is not None:
+        source_id, source_type, dest_id, dest_type, timestamp, edge_type, graph_id = match.groups()
+        try:
+            return EdgeRecord(
+                int(source_id), source_type, int(dest_id), dest_type,
+                int(timestamp), edge_type, int(graph_id),
+            )
+        except ValueError:
+            pass  # a number over the digit limit; the reference names it
+    return parse_edge_fields(line, line_no)
+
+
+def parse_edge_fields(line: str, line_no: int | None = None) -> EdgeRecord:
+    """The field-by-field reference for :func:`parse_edge`, with the same contract."""
     fields = line.rstrip("\n").split(FIELD_SEPARATOR)
     try:
         source_id, source_type, dest_id, dest_type, timestamp, edge_type, graph_id = fields
@@ -70,8 +100,19 @@ def parse_edge(line: str, line_no: int | None = None) -> EdgeRecord:
 def _number(raw: str, line_no: int | None, field: str) -> int:
     # isdigit alone also takes non-ASCII digits such as "\u0661".
     if raw.isascii() and raw.isdigit():
-        return int(raw)
+        try:
+            return int(raw)
+        except ValueError:
+            raise ParseError(_too_many_digits(raw), line_no, field) from None
     raise ParseError(f"{raw!r} is not a decimal non-negative integer", line_no, field)
+
+
+def _too_many_digits(raw: str) -> str:
+    """The error message for a digit string that ``int()`` refuses as too long."""
+    return (
+        f"{raw[:12]!r}... has {len(raw)} digits, over the limit of "
+        f"{sys.get_int_max_str_digits()} for an int"
+    )
 
 
 def _symbol(raw: str, line_no: int | None, field: str) -> str:

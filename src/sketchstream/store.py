@@ -185,20 +185,27 @@ class GraphStore:
         Does not mutate adjacency; the returned edge must be passed to
         :meth:`insert_prepared` before any further edge is prepared.
         """
+        nodes = self._nodes
         source: NodeKey = (rec.graph_id, rec.source_id)
-        dest: NodeKey = source if rec.dest_id == rec.source_id else (rec.graph_id, rec.dest_id)
-        if source is dest and rec.source_type != rec.dest_type:
+        loop = rec.dest_id == rec.source_id
+        if loop and rec.source_type != rec.dest_type:
             raise NodeTypeConflictError(source, rec.source_type, rec.dest_type)
-        keys = []
-        for node, proposed in ((source, rec.source_type), (dest, rec.dest_type)):
-            entry = self._nodes.get(node)
+        out = _EMPTY
+        entry = nodes.get(source)
+        if entry is not None:
+            if entry.type != rec.source_type:
+                raise NodeTypeConflictError(source, entry.type, rec.source_type)
+            source = entry.key  # share the stored key, not an equal new tuple
+            out = entry.out
+        if loop:
+            dest = source
+        else:
+            dest = (rec.graph_id, rec.dest_id)
+            entry = nodes.get(dest)
             if entry is not None:
-                if entry.type != proposed:
-                    raise NodeTypeConflictError(node, entry.type, proposed)
-                node = entry.key  # share the stored key, not an equal new tuple
-            keys.append(node)
-        source, dest = keys
-        out = self.out_edges(source)
+                if entry.type != rec.dest_type:
+                    raise NodeTypeConflictError(dest, entry.type, rec.dest_type)
+                dest = entry.key
         if out and rec.timestamp < out[-1].timestamp:
             raise OutOfOrderEdgeError(
                 f"node {source} has an out-edge at timestamp {out[-1].timestamp}, "
@@ -224,16 +231,15 @@ class GraphStore:
             raise RuntimeError("stale prepared edge; prepare and insert must alternate")
         self._seq += 1
 
-        self._register(edge.source, pending.source_type)
-        self._register(edge.dest, pending.dest_type)
-
-        source = self._nodes[edge.source]
+        source = self._register(edge.source, pending.source_type)
         source.out.append(edge)
         source.l1 += edge.label
-        self._nodes[edge.dest].inc.append(edge)
+        self._register(edge.dest, pending.dest_type).inc.append(edge)
         self.total_edges += 1
 
-        first, second = sorted((edge.source, edge.dest))
+        first, second = edge.source, edge.dest
+        if second < first:
+            first, second = second, first
         self._nodes.move_to_end(first)
         self._nodes.move_to_end(second)
 
@@ -248,7 +254,8 @@ class GraphStore:
         if self.capacity is not None:
             while self.total_edges > self.capacity:
                 evicted.append(self._evict_one())
-        self.peak_edges = max(self.peak_edges, self.total_edges)
+        if self.total_edges > self.peak_edges:
+            self.peak_edges = self.total_edges
         return evicted
 
     def drop_graph(self, graph_id: int) -> set[NodeKey]:
@@ -261,11 +268,13 @@ class GraphStore:
             self.total_edges -= len(self._nodes.pop(node).out)
         return nodes
 
-    def _register(self, node: NodeKey, node_type: str) -> None:
-        if node not in self._nodes:
+    def _register(self, node: NodeKey, node_type: str) -> StoredNode:
+        entry = self._nodes.get(node)
+        if entry is None:
             # prepare_edge already rejected type conflicts.
-            self._nodes[node] = StoredNode(node, node_type)
+            entry = self._nodes[node] = StoredNode(node, node_type)
             self._graphs.setdefault(node[0], set()).add(node)
+        return entry
 
     def _evict_one(self) -> StoredEdge:
         # Every stored node holds an edge, and both lists are in arrival
@@ -283,13 +292,18 @@ class GraphStore:
         index = source.out.index(edge)
         del source.out[index]
         source.l1 = source.l1[: 2 * index] + source.l1[2 * index + 2 :]
-        self._nodes[edge.dest].inc.remove(edge)
+        dest = self._nodes[edge.dest]
+        dest.inc.remove(edge)
         self.total_edges -= 1
-        for node in {edge.source, edge.dest}:
-            entry = self._nodes[node]
-            if not entry.out and not entry.inc:
-                del self._nodes[node]
-                graph = self._graphs[node[0]]
-                graph.discard(node)
-                if not graph:
-                    del self._graphs[node[0]]
+        self._forget_if_bare(source)
+        if dest is not source:
+            self._forget_if_bare(dest)
+
+    def _forget_if_bare(self, entry: StoredNode) -> None:
+        if not entry.out and not entry.inc:
+            node = entry.key
+            del self._nodes[node]
+            graph = self._graphs[node[0]]
+            graph.discard(node)
+            if not graph:
+                del self._graphs[node[0]]

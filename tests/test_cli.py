@@ -243,6 +243,33 @@ def test_cli_rejects_a_whitespace_only_line(generated, tmp_path, capsys, name, e
     assert "Traceback" not in err
 
 
+_LONG_ID = "9" * 5000  # over int()'s default limit of 4,300 digits
+
+
+@pytest.mark.parametrize(
+    "name, line, error",
+    [
+        ("test.tsv", f"1\ta\t2\tb\t3\tC\t{_LONG_ID}\n", "error: line 2: field graph_id: "),
+        ("labels.tsv", f"{_LONG_ID}\tnormal\n", "error: labels line 2: "),
+    ],
+    ids=["stream", "labels"],
+)
+def test_cli_names_the_line_of_an_over_long_id(generated, tmp_path, capsys, name, line, error):
+    paths = dict(generated)
+    paths[name] = tmp_path / name
+    first, rest = generated[name].read_text().split("\n", 1)
+    paths[name].write_text(first + "\n" + line + rest)
+    capsys.readouterr()
+    code = run_cli(
+        "stream", "--model", paths["m.model"], "-i", paths["test.tsv"],
+        "--labels", paths["labels.tsv"], "--csv-out", tmp_path / "out.csv",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(error)
+    assert "5000 digits" in err and "Traceback" not in err
+
+
 def test_cli_rejects_labels_that_leave_out_a_streamed_graph(generated, tmp_path, capsys):
     lines = generated["labels.tsv"].read_text().splitlines(keepends=True)
     labels = tmp_path / "labels.tsv"

@@ -34,6 +34,7 @@ from sketchstream.clustering import (
 )
 from sketchstream.engine import load_model, save_model
 from sketchstream.generator import LABEL_NORMAL
+from sketchstream.shingles import _cosine, _dot, _squared_norm, node_shingle
 from sketchstream.sketches import sign_bits
 
 
@@ -105,6 +106,33 @@ def test_distance_matrix_equals_the_per_pair_reference(vectors, copies):
     assert np.array_equal(matrix, reference)
     assert np.array_equal(matrix, matrix.T)
     assert not np.diagonal(matrix).any()
+
+
+def _distance_matrix_loop(vectors):
+    # The per-pair loop that pairwise_distance_matrix replaced, kept as its reference.
+    n = len(vectors)
+    norms = [_squared_norm(v) for v in vectors]
+    matrix = np.zeros((n, n), dtype=np.float64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = 1.0 - _cosine(_dot(vectors[i], vectors[j]), norms[i], norms[j])
+            matrix[i, j] = d
+            matrix[j, i] = d
+    return matrix
+
+
+@pytest.mark.parametrize("hops", [1, 2])
+def test_distance_matrix_equals_the_loop_on_generated_stores(hops, monkeypatch):
+    store, _ = _training_store(seed=13, per_class=12)
+    shingle_lists = [
+        [node_shingle(store, node, hops) for node in store.graph_nodes(g)]
+        for g in store.graph_ids()
+    ]
+    # Narrow blocks, so that every length's product spans several of them.
+    monkeypatch.setattr(clustering, "_GRAM_BLOCK", 7)
+    for length in (1, 2, 3, 4, 8, 16, 64):
+        vectors = clustering._chunk_vectors(shingle_lists, length)
+        assert np.array_equal(pairwise_distance_matrix(vectors), _distance_matrix_loop(vectors))
 
 
 # -- k-medoids ----------------------------------------------------------------
@@ -594,6 +622,11 @@ def test_sketches_and_retired_clusters_hold_through_random_events():
             kinds["reassign"] += 1
         kinds["retire"] += live - int(model.live.sum())
         _assert_sketches_and_retired_clusters(model, state.sketch)
+        # The score equals a recount against the centroids as they now stand,
+        # also where update_graph kept the distance it had.
+        distances = model.distances_to(state.sketch)
+        nearest = event.nearest if model.live[event.nearest] else int(distances.argmin())
+        assert model.scores[g] == event.score == distances[nearest]
     assert min(kinds[k] for k in ("flag", "join", "update", "reassign")) >= 20, kinds
     assert 1 <= kinds["retire"] < 4, kinds
 

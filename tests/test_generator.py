@@ -188,6 +188,8 @@ def test_labels_file_round_trip(tmp_path):
         pytest.param("4\tanomaly\n\n" + "\t" * 6 + "\n", 3, id="tabs-only"),
         pytest.param("4\tanomaly\n\n\r\n", 3, id="crlf-only"),
         pytest.param("4\tanomaly\n\n  \n", 3, id="spaces-only"),
+        # over int()'s default limit of 4,300 digits
+        pytest.param("4\tanomaly\n" + "9" * 5000 + "\tnormal\n", 2, id="over-long-id"),
     ],
 )
 def test_read_labels_rejects_a_malformed_or_repeated_line(text, line_no):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sketchstream import EdgeRecord, ParseError, format_edge, parse_edge, read_stream
+from sketchstream.records import parse_edge_fields
 
 _NUMBERS = (0, 2, 4, 6)  # positions of the ids and the timestamp
 
@@ -44,6 +45,8 @@ def test_parse_error_carries_line_number():
         ("1\ta\t2\tb\t1_0\tx\t0", "timestamp"),
         ("1\ta\t2\tb\t5\tx\t\u0661", "graph_id"),
         ("1\ta\t2\tb\t5\tx\t0\r\n", "graph_id"),
+        # over int()'s default limit of 4,300 digits
+        ("1\ta\t" + "9" * 5000 + "\tb\t5\tx\t0\n", "dest_id: '999999999999'... has 5000 digits"),
     ],
 )
 def test_parse_rejects_bad_fields(line, field):
@@ -96,12 +99,14 @@ def test_format_parse_round_trip(**fields):
     line = format_edge(rec)
     assert line.endswith("\n")
     assert parse_edge(line) == rec
+    assert parse_edge_fields(line) == rec  # the field-by-field reference
 
 
 _VALID_FIELDS = ("12", "a", "3", "b", "40", "X", "5")
 _BAD_PIECES = st.sampled_from([
     "+1", "-1", " 1", "1 ", "1_0", "\u0661", "\uff11", "0\r", "\r",
     "", " ", "\t", "1\t2", "ab", "\x7f", "\xe9",
+    "\n", "1\n", "9" * 4301,  # an inner LF; over int()'s default digit limit
 ])
 
 
@@ -118,11 +123,18 @@ def test_parse_edge_enforces_the_wire_contract(edits, end):
     for position, piece in edits:
         fields[position : position + 1] = [piece]
     line = "\t".join(fields) + end
+    # The pattern path and the field-by-field reference agree on every line.
+    try:
+        reference = parse_edge_fields(line, line_no=9)
+    except ParseError as exc:
+        reference = exc
     try:
         rec = parse_edge(line, line_no=9)
     except ParseError as exc:
         assert str(exc).startswith("line 9: ")
+        assert isinstance(reference, ParseError) and str(exc) == str(reference)
         return
+    assert rec == reference
     raw = line.rstrip("\n").split("\t")
     assert len(raw) == 7
     for i in _NUMBERS:
