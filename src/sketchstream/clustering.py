@@ -31,11 +31,15 @@ marked as attack. Centroid projections are kept as real-valued running
 means because the incremental updates divide by cluster sizes; each
 change to a mean re-signs that centroid's row of bool sketches in place.
 An update's score is its distance to the nearest centroid, counted again
-only when the update moved that centroid.
+only when the update moved that centroid. A cluster emptied by removals
+retires and is never matched again; under ``run_stream`` this cannot
+happen, since streamed graphs join only through an add and so never take
+out a loaded member, and only hand-built models reach it.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -268,7 +272,11 @@ class ClusterModel:
         # Estimated cosine distance for each count of matching sketch bits,
         # bit-identical to evaluating the formula on the counts themselves.
         matches = np.arange(family.sketch_bits + 1) / family.sketch_bits
-        self._distance_of_matches = 1.0 - np.cos(np.pi * (1.0 - matches))
+        self._distance_of_matches = (1.0 - np.cos(np.pi * (1.0 - matches))).tolist()
+        # Views of each row; the model updates both arrays in place and
+        # never rebinds them.
+        self._centroid_rows = list(centroids)
+        self._sketch_rows = list(self.sketches)
         # Latest state per tracked graph, least recently updated first.
         self.states: dict[int, SketchState] = {}
         self.assignments: dict[int, int | str] = {}
@@ -284,9 +292,14 @@ class ClusterModel:
 
     def distances_to(self, sketch: np.ndarray) -> np.ndarray:
         """Estimated cosine distance to every centroid; retired ones are inf."""
-        distances = self._distance_of_matches[(self.sketches == sketch).sum(axis=1)]
+        return np.array(self._distances(sketch))
+
+    def _distances(self, sketch: np.ndarray) -> list[float]:
+        table = self._distance_of_matches
+        distances = [table[np.count_nonzero(sketch == row)] for row in self._sketch_rows]
         if self._retired:
-            distances[~self.live] = np.inf
+            live = self.live.tolist()
+            distances = [d if live[q] else math.inf for q, d in enumerate(distances)]
         return distances
 
     def update_graph(self, graph_id: int, state: SketchState) -> AnomalyEvent:
@@ -294,20 +307,19 @@ class ClusterModel:
         old_state = self.states.pop(graph_id, None)
         self.states[graph_id] = state
         sketch = state.sketch
-        distances = self.distances_to(sketch)
-        nearest = int(distances.argmin())
-        distance = float(distances[nearest])
+        distances = self._distances(sketch)
+        distance = min(distances)
+        nearest = distances.index(distance)  # ties go to the lower index
         previous = self.assignments.get(graph_id, UNASSIGNED)
-        flagged = distance > self.thresholds[nearest]
+        flagged = distance > self.thresholds.item(nearest)
 
         if flagged:
             if isinstance(previous, int):
                 self._remove(previous, old_state.projection)
             self.assignments[graph_id] = ATTACK
         elif previous == nearest:
-            self.centroids[nearest] += (
-                state.projection - old_state.projection
-            ) / self.sizes[nearest]
+            centroid = self._centroid_rows[nearest]
+            centroid += (state.projection - old_state.projection) / self.sizes.item(nearest)
             self._resign(nearest)
         else:
             if isinstance(previous, int):
@@ -341,13 +353,14 @@ class ClusterModel:
     def _add(self, cluster: int, projection: np.ndarray) -> None:
         # Never called on a retired cluster: dead rows are inf in
         # distances_to, so they are never the nearest.
-        size = int(self.sizes[cluster])
-        self.centroids[cluster] = (self.centroids[cluster] * size + projection) / (size + 1)
+        size = self.sizes.item(cluster)
+        centroid = self._centroid_rows[cluster]
+        np.divide(centroid * size + projection, size + 1, out=centroid)
         self.sizes[cluster] = size + 1
         self._resign(cluster)
 
     def _remove(self, cluster: int, projection: np.ndarray) -> None:
-        size = int(self.sizes[cluster])
+        size = self.sizes.item(cluster)
         if size <= 1:
             # Removing the last member would divide by zero; retire the
             # cluster instead. It is never matched again.
@@ -355,19 +368,19 @@ class ClusterModel:
             self.live[cluster] = False
             self._retired = True
             return
-        self.centroids[cluster] = (self.centroids[cluster] * size - projection) / (size - 1)
+        centroid = self._centroid_rows[cluster]
+        np.divide(centroid * size - projection, size - 1, out=centroid)
         self.sizes[cluster] = size - 1
         self._resign(cluster)
 
     def _resign(self, cluster: int) -> None:
-        np.greater_equal(self.centroids[cluster], 0, out=self.sketches[cluster])
+        sign_bits(self._centroid_rows[cluster], out=self._sketch_rows[cluster])
 
     def _score_against(self, nearest: int, sketch: np.ndarray, fallback: float) -> float:
         if self.live[nearest]:
-            matches = np.count_nonzero(sketch == self.sketches[nearest])
-            return float(self._distance_of_matches[matches])
+            return self._distance_of_matches[np.count_nonzero(sketch == self._sketch_rows[nearest])]
         if self.live.any():
-            return float(self.distances_to(sketch).min())
+            return min(self._distances(sketch))
         return fallback
 
 

@@ -13,8 +13,8 @@ builds each affected node's new shingle from these strings and cuts the
 new label out again for the old one (see ``shingles.edge_delta``); no
 chunk state outlives an edge. The sketch update hashes only the delta's
 chunks that the hash family has not cached, all in one product, and adds
-the delta into a copy of the graph's float64 projection of exact
-integers; the new sketch is its bool sign pattern.
+the delta to the graph's float64 projection of exact integers, into a new
+array; the new sketch is its bool sign pattern.
 
 Evicted edges never roll sketches back: a graph's projection accumulates
 over everything it has seen, while deltas for later edges are computed on
@@ -290,15 +290,18 @@ def run_stream(
         csv_fp.write("edges_processed,graph_id,score,assignment,ap,auc\n")
 
     hops, chunk_length, family = model.hops, model.chunk_length, model.family
+    max_edges, interval = config.max_edges, config.snapshot_interval
+    max_tracked = config.max_tracked_graphs
+    states = model.states
     edges = dropped = 0
     seen: set[int] = set()
     started = time.perf_counter()
     for rec in _iter_records(stream):
         delta = edge_delta(store, rec, hops, chunk_length)
-        if config.max_edges is not None and store.total_edges > config.max_edges:
+        if max_edges is not None and store.total_edges > max_edges:
             raise AssertionError("resident edges exceeded the configured bound")
 
-        state = model.states.get(rec.graph_id)
+        state = states.get(rec.graph_id)
         if state is None:  # each graph's first edge passes here
             if labels is not None and rec.graph_id not in labels:
                 raise ValueError(f"edge {edges + 1}: graph {rec.graph_id} has no label")
@@ -307,14 +310,14 @@ def run_stream(
         model.update_graph(rec.graph_id, apply_delta(state, family, delta))
 
         edges += 1
-        if config.max_tracked_graphs is not None and len(model.states) > config.max_tracked_graphs:
-            victim = next(iter(model.states))
+        if max_tracked is not None and len(states) > max_tracked:
+            victim = next(iter(states))
             model.forget_graph(victim)
             store.drop_graph(victim)
             dropped += 1
-        if edges % config.snapshot_interval == 0:
+        if edges % interval == 0:
             snapshots.append(_snapshot(model, edges, positives, csv_fp))
-    if edges == 0 or edges % config.snapshot_interval != 0:
+    if edges == 0 or edges % interval != 0:
         snapshots.append(_snapshot(model, edges, positives, csv_fp))
     elapsed = time.perf_counter() - started
 

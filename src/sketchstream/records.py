@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 FIELD_SEPARATOR = "\t"
 
@@ -45,9 +44,8 @@ class ParseError(ValueError):
         self.field = field
 
 
-@dataclass(frozen=True, slots=True)
-class EdgeRecord:
-    """One typed, timestamped edge tagged with the graph it belongs to."""
+class EdgeRecord(NamedTuple):
+    """One typed, timestamped edge tagged with the graph it belongs to (immutable)."""
 
     source_id: int
     source_type: str

@@ -35,9 +35,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .records import EdgeRecord
 from .store import GraphStore, NodeKey, PendingEdge, StoredNode
@@ -83,13 +82,13 @@ def chunk_shingle(shingle: str, chunk_length: int) -> list[str]:
     return [shingle[i : i + chunk_length] for i in range(0, len(shingle), chunk_length)]
 
 
-@dataclass(frozen=True)
-class ChunkDelta:
+class ChunkDelta(NamedTuple):
     """Chunks entering and leaving a graph's shingle multiset.
 
     ``net`` maps every chunk whose count changes to its signed change:
     chunks appearing on both sides with equal multiplicity cancel at
-    construction. ``incoming`` and ``outgoing`` are its two sides.
+    construction. ``incoming`` and ``outgoing`` are its two sides. A
+    named tuple, like :class:`EdgeRecord`, since one is built per edge.
     """
 
     net: dict[str, int]

@@ -9,38 +9,42 @@ coefficient i+1 times the ASCII code of character i, all in wrapping
 and is the reference.
 
 :meth:`HashFamily._sums` evaluates every function on a block of chunks
-with one float64 matrix product and gives exactly the reference values.
-Each coefficient is split into a low and a high 32-bit half. Every chunk
-becomes a row of codes: 1 for the constant coefficient, then its
-characters, then 0 up to the block's longest chunk. The rows are
+and gives exactly the reference's 64-bit sums. Every chunk becomes a row of
+byte codes: 1 for the constant coefficient, then its characters, then 0 up
+to the block's longest chunk. A small block, such as one new chunk at
+L=100, is multiplied in numpy's own ``uint64`` loop against the
+coefficient table, held transposed so that the product reads it row by
+row; that loop wraps mod 2**64 and costs less than a BLAS call. A larger
+block goes through one float64 product, which is exact as well: each
+coefficient is split into a low and a high 32-bit half, and the rows are
 multiplied by both halves at once. A character code is at most 127, so
 each product is below 2**39, and a row of at most 2**14 characters sums
 to less than 2**32 * (1 + 127 * 2**14) < 2**53. Below 2**53 float64
 holds every integer exactly, in any summation order, so the family
 refuses a ``max_chunk_len`` above 2**14. The two half sums are then added
-back together in wrapping ``uint64`` arithmetic as low + (high << 32),
-which is the multilinear sum mod 2**64.
+back together in wrapping ``uint64`` arithmetic as low + (high << 32).
 
-Products are taken in blocks of rows sized from ``sketch_bits``, so that
-each temporary stays within 128 KiB. A block so small that a BLAS call
-would cost more than its arithmetic, such as one new chunk at L=100, is
-multiplied in numpy's own ``uint64`` loop instead, which wraps mod 2**64
-and needs no split.
+:meth:`HashFamily._write_values` is the one hashing path: it takes the
+sums of blocks of rows sized from ``sketch_bits``, so that each temporary
+stays within 128 KiB, maps bit 0 of each sum to -1 or +1 and writes the
+block into the int8 rows it is given: a fold's misses into their slab
+rows, ``hash_values`` into an array of its own, and ``batch_projection``
+into one reused block.
 
 :meth:`HashFamily.fold` adds a map of signed chunk counts into a
 projection, and it is the only reader of the family's cache: one
 preallocated int8 slab, one row of ``sketch_bits`` bytes per chunk, and a
 dict from chunk to row. One byte budget, ``_CACHE_BYTES``, covers the
-slab, the dict and its keys. The signs of a hashed block are written into
-the slab at once. When a map's new chunks do not fit, the cache is
-cleared all at once and refilled; it only memoises, so no output depends
-on its size. A map of a few chunks is folded with one ``np.add`` per
-chunk, a larger one as one float64 product of its counts with its slab
-rows. A map with more distinct chunks than the slab holds skips the slab
-and is folded by the uncached block product of ``batch_projection``. Each
-product is exact: every partial sum is an integer no larger in magnitude
-than the map's total count, far below 2**53. ``hash_values`` hashes one
-chunk without the slab.
+slab, the dict and its keys. One dict lookup per chunk finds the cached
+rows, and the missing chunks are hashed into the free rows after them.
+When they do not fit, the cache is cleared all at once and refilled; it
+only memoises, so no output depends on its size. A map of a few chunks is
+folded with one ``np.add`` per chunk, a larger one as one float64 product
+of its counts with its slab rows. A map with more distinct chunks than the
+slab holds skips the slab and is folded by the uncached block product of
+``batch_projection``. Each product is exact: every partial sum is an
+integer no larger in magnitude than the map's total count, far below
+2**53.
 
 A graph's projection vector accumulates, per function, the signed count
 of chunks hashed so far. It is held as float64, which adds the products
@@ -50,7 +54,7 @@ stays below 2**53 in magnitude. Its sketch is the bool pattern
 additive, so the sketch of a union of graphs is the sign of the sum of
 their projections. A ``SketchState`` is a value: its projection is
 read-only, its sketch is computed once, and ``apply_delta`` returns a new
-state.
+state, whose projection the fold's first add allocates.
 
 Coefficients are drawn from numpy's seeded default generator (PCG64),
 which is a fixed, portable algorithm: a family is fully determined by
@@ -97,7 +101,7 @@ class HashFamily:
     mutable slab of hashed chunks that every user of the family shares."""
 
     __slots__ = (
-        "coefficients", "sketch_bits", "max_chunk_len", "seed", "_halves", "_block_rows",
+        "coefficients", "sketch_bits", "max_chunk_len", "seed", "_table", "_halves", "_block_rows",
         "_slab", "_index",
     )
 
@@ -105,13 +109,14 @@ class HashFamily:
         if coefficients.ndim != 2 or coefficients.shape[1] < 2:
             raise ValueError("coefficient table must be L x (max_chunk_len + 1)")
         _check_chunk_len(int(coefficients.shape[1]) - 1)
-        self.coefficients = np.ascontiguousarray(coefficients, dtype=np.uint64)
+        # Row i: every function's coefficient i, the right operand of a product.
+        table = self._table = np.ascontiguousarray(coefficients.T, dtype=np.uint64)
+        self.coefficients = table.T
         self.sketch_bits = int(coefficients.shape[0])
         self.max_chunk_len = int(coefficients.shape[1]) - 1
         self.seed = seed
         # Row i: the low then the high 32-bit halves of every function's
         # coefficient i, as exact float64 operands.
-        table = self.coefficients.T
         self._halves = np.ascontiguousarray(
             np.concatenate((table & np.uint64(0xFFFFFFFF), table >> np.uint64(32)), axis=1),
             dtype=np.float64,
@@ -154,66 +159,81 @@ class HashFamily:
 
         Hashes the chunk again on every call and leaves the slab alone.
         """
-        return _signs(self._sums((chunk,)))[0]
+        values = np.empty((1, self.sketch_bits), np.int8)
+        self._write_values((chunk,), values)
+        return values[0]
 
-    def fold(self, projection: np.ndarray, counts: Mapping[str, int]) -> None:
-        """Add the signed chunk counts ``counts`` into ``projection`` (float64, in place).
+    def fold(
+        self, projection: np.ndarray, counts: Mapping[str, int], copy: bool = False
+    ) -> np.ndarray:
+        """Add the signed chunk counts ``counts`` into ``projection`` (float64) and return it.
 
-        The uncached chunks are hashed together into the slab. A map with
-        more distinct chunks than the slab holds is projected without it.
+        With ``copy``, the sum is a new array and ``projection`` is left
+        alone. The uncached chunks are hashed together into the slab. A map
+        with more distinct chunks than the slab holds is projected without it.
         """
+        out = None if copy else projection
         if len(counts) > len(self._slab):
-            projection += _project(counts, self)
-            return
+            return np.add(projection, _project(counts, self), out=out)
         rows = self._rows(counts)
         slab = self._slab
         if len(rows) > _LOOP_ROWS:
             weights = np.fromiter(counts.values(), dtype=np.float64, count=len(rows))
-            projection += _weighted_sum(weights, slab[rows])
-            return
+            return np.add(projection, _weighted_sum(weights, slab[rows]), out=out)
+        # The first add writes to ``out``, allocating it under ``copy``.
         for row, count in zip(rows, counts.values()):
             if count == 1:
-                np.add(projection, slab[row], out=projection)
+                projection = np.add(projection, slab[row], out=out)
             elif count == -1:
-                np.subtract(projection, slab[row], out=projection)
+                projection = np.subtract(projection, slab[row], out=out)
             else:
-                np.add(projection, slab[row] * np.float64(count), out=projection)
+                projection = np.add(projection, slab[row] * np.float64(count), out=out)
+            out = projection
+        return projection.copy() if out is None else projection
 
     def _rows(self, chunks: Collection[str]) -> list[int]:
         """Slab rows that hold the values of distinct ``chunks``, no more than the slab holds.
 
-        Chunks not in the slab are hashed together, one product per block
-        of rows. When they do not fit, the slab is cleared first and every
-        chunk is hashed again, so all the rows returned stay valid until
-        the next call.
+        One lookup finds the cached chunks. The others are hashed straight
+        into the free rows after them; when they do not fit, the slab is
+        cleared first and every chunk is hashed again, so all the rows
+        returned stay valid until the next call.
         """
         index = self._index
-        missing = [chunk for chunk in chunks if chunk not in index]
-        if missing:
-            if len(index) + len(missing) > len(self._slab):
-                index.clear()
-                missing = list(chunks)
+        rows = list(map(index.get, chunks))
+        if None in rows:
             base = len(index)
-            step = self._block_rows
-            for start in range(0, len(missing), step):
-                block = missing[start : start + step]
-                self._slab[base + start : base + start + len(block)] = _signs(self._sums(block))
-            index.update(zip(missing, range(base, base + len(missing))))
-        return [index[chunk] for chunk in chunks]
+            missing = [chunk for chunk, row in zip(chunks, rows) if row is None]
+            if base + len(missing) > len(self._slab):
+                index.clear()
+                base, missing = 0, list(chunks)
+            self._write_values(missing, self._slab[base : base + len(missing)])
+            for row, chunk in enumerate(missing, base):
+                index[chunk] = row
+            rows = list(map(index.__getitem__, chunks))
+        return rows
+
+    def _write_values(self, chunks: Sequence[str], out: np.ndarray) -> None:
+        """Write the ±1 values of ``chunks`` into the int8 rows of ``out``, a block at a time."""
+        step = self._block_rows
+        for start in range(0, len(chunks), step):
+            sums = self._sums(chunks[start : start + step])
+            # Bit 0 of each sum picks its value, -1 or +1.
+            out[start : start + step] = _SIGNS[np.bitwise_and(sums, _ONE, out=sums)]
 
     def _sums(self, chunks: Sequence[str]) -> np.ndarray:
-        """Multilinear sums mod 2**64 (uint64, n x L) of one block of chunks."""
-        width = max(map(len, chunks), default=0)
+        """Multilinear sums mod 2**64 (uint64, n x L) of one non-empty block of chunks."""
+        width = max(map(len, chunks))
         if width > self.max_chunk_len:
             raise ValueError(f"chunk of length {width} exceeds max_chunk_len {self.max_chunk_len}")
         if not all(chunks):
             raise ValueError("chunk must not be empty")
         # Code 1 picks up the constant coefficient; code 0 pads short
         # chunks and adds nothing.
-        padded = "".join("\1" + chunk.ljust(width, "\0") for chunk in chunks).encode("ascii")
+        padded = "".join(["\1" + chunk.ljust(width, "\0") for chunk in chunks]).encode("ascii")
         codes = np.frombuffer(padded, dtype=np.uint8).reshape(len(chunks), width + 1)
         if codes.size * self.sketch_bits <= _SMALL_PRODUCT:
-            return codes.astype(np.uint64) @ self.coefficients[:, : width + 1].T
+            return codes.astype(np.uint64) @ self._table[: width + 1]
         # Exact below 2**53; float64 -> int64 is faster than -> uint64.
         halves = codes.astype(np.float64) @ self._halves[: width + 1]
         halves = halves.astype(np.int64).view(np.uint64)
@@ -223,9 +243,9 @@ class HashFamily:
         return totals
 
 
-def _signs(totals: np.ndarray) -> np.ndarray:
-    """±1 hash values (int8, a new array) of multilinear sums, from bit 0 of each sum."""
-    return (totals & np.uint64(1)).astype(np.int8) * 2 - 1
+# The hash value of a sum whose sign bit is 0, then 1.
+_SIGNS = np.array([-1, 1], dtype=np.int8)
+_ONE = np.uint64(1)
 
 
 def _check_chunk_len(max_chunk_len: int) -> None:
@@ -236,9 +256,13 @@ def _check_chunk_len(max_chunk_len: int) -> None:
         )
 
 
-def sign_bits(projection: np.ndarray) -> np.ndarray:
+# Zero as a 0-d array, which numpy compares against faster than against a Python 0.
+_ZERO = np.zeros(())
+
+
+def sign_bits(projection: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Sign pattern (bool, True for +1) of a projection, with sign(0) = +1."""
-    return projection >= 0
+    return np.greater_equal(projection, _ZERO, out=out)
 
 
 class SketchState:
@@ -264,9 +288,7 @@ def fresh_state(sketch_bits: int) -> SketchState:
 
 def apply_delta(state: SketchState, family: HashFamily, delta: ChunkDelta) -> SketchState:
     """State after folding a chunk delta into ``state``, which is left unchanged."""
-    projection = state.projection.copy()
-    family.fold(projection, delta.net)
-    return SketchState(projection)
+    return SketchState(family.fold(state.projection, delta.net, copy=True))
 
 
 def batch_projection(counts: Mapping[str, int], family: HashFamily) -> SketchState:
@@ -283,9 +305,11 @@ def _project(counts: Mapping[str, int], family: HashFamily) -> np.ndarray:
     weights = np.fromiter(counts.values(), dtype=np.float64, count=len(chunks))
     projection = np.zeros(family.sketch_bits)
     step = family._block_rows
+    values = np.empty((min(step, len(chunks)), family.sketch_bits), np.int8)
     for start in range(0, len(chunks), step):
-        values = _signs(family._sums(chunks[start : start + step]))
-        projection += _weighted_sum(weights[start : start + step], values)
+        block = values[: len(chunks) - start]
+        family._write_values(chunks[start : start + step], block)
+        projection += _weighted_sum(weights[start : start + step], block)
     return projection
 
 

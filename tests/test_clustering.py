@@ -470,12 +470,38 @@ def test_score_is_distance_after_centroid_update():
     assert event.score == pytest.approx(0.0, abs=1e-12)
 
 
+def test_equal_distances_choose_the_lower_cluster():
+    family = HashFamily.generate(4, 4, seed=1)
+    centroids = np.array([[-8.0] * 4, [8.0, 8.0, -8.0, -8.0], [8.0, 8.0, -8.0, -8.0]])
+    model = ClusterModel(family, 1, 4, centroids, [2, 2, 2], [2.5] * 3)
+    # clusters 1 and 2 share a sign pattern; 0 is farther
+    event = model.update_graph(9, state_with([5, 5, -5, -5]))
+    assert event.nearest == 1 and model.assignments[9] == 1
+    assert model.sizes.tolist() == [2, 3, 2]
+    # three of four bits match every cluster
+    event = model.update_graph(10, state_with([5, -5, -5, -5]))
+    assert event.nearest == 0 and model.assignments[10] == 0
+
+
+def test_thresholds_and_sizes_written_after_construction_take_effect():
+    model = single_cluster_model(size=3, centroid=6.0, threshold=2.5)
+    state = state_with([5, 5, 5, -5])  # three of four bits match: distance > 0
+    model.thresholds[0] = 0.0
+    assert model.update_graph(7, state).flagged
+    model.thresholds[0] = 2.5
+    assert not model.update_graph(7, state).flagged
+    assert model.assignments[7] == 0 and model.sizes[0] == 4
+    model.sizes[0] = 1
+    model.update_graph(7, state_with([9, 9, 9, -1]))
+    assert model.centroids[0].tolist() == [((6.0 * 3 + 5) / 4) + 4] * 3 + [(6.0 * 3 - 5) / 4 + 4]
+
+
 def test_distance_table_equals_the_estimate_formula():
     # the table scores and ranks; cosine_distance is its formula on one count
     for bits in range(1, 1101):
         model = ClusterModel(plus_family(bits), 1, 1, np.zeros((1, bits)), [1], [0.5])
         formula = [1.0 - math.cos(math.pi * (1.0 - k / bits)) for k in range(bits + 1)]
-        assert model._distance_of_matches.tolist() == formula, f"{bits} bits"
+        assert model._distance_of_matches == formula, f"{bits} bits"
 
 
 def test_ranking_sorts_by_score_then_graph_id():

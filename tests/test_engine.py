@@ -429,6 +429,39 @@ def test_dropped_graph_leaves_store_and_sketch_consistent(seed, hops):
         assert error <= 1e-9 * max(np.abs(expected).max(), 1.0), f"cluster {q}"
 
 
+@pytest.mark.parametrize("seed,hops", CASES)
+def test_streamed_runs_never_retire_a_cluster(seed, hops):
+    # A streamed graph joins a cluster only through _add, so a cluster keeps
+    # its loaded members: only a hand-built model can empty one.
+    dataset = golden_dataset(seed)
+    config = golden_config(seed, hops)
+    model_text = io.StringIO()
+    save_model(run_bootstrap(lines_of(dataset.train), config)[0], model_text)
+    bound = len(dataset.test) // 10
+    for cap, tracked in ((None, None), (bound, None), (bound, 3)):
+        model = load_model(io.StringIO(model_text.getvalue()))
+        run = replace(config, max_edges=cap, max_tracked_graphs=tracked)
+        result = run_stream(model, lines_of(dataset.test), run)
+        assert result.model.live.all() and not result.model._retired
+        assert result.model.sizes.min() > 0
+
+
+@pytest.mark.parametrize("seed,hops", CASES)
+def test_every_streamed_score_equals_a_fresh_recount(seed, hops):
+    dataset = golden_dataset(seed)
+    config = golden_config(seed, hops)
+    model, _ = run_bootstrap(lines_of(dataset.train), config)
+    store = GraphStore(capacity=len(dataset.test) // 10)
+    for rec in dataset.test:
+        delta = edge_delta(store, rec, model.hops, model.chunk_length)
+        state = model.states.get(rec.graph_id, sketches.fresh_state(model.sketch_bits))
+        state = sketches.apply_delta(state, model.family, delta)
+        event = model.update_graph(rec.graph_id, state)
+        centroid = sketches.sign_bits(model.centroids[event.nearest])
+        assert event.score == model.scores[rec.graph_id] == cosine_distance(state.sketch, centroid)
+        assert np.array_equal(model.sketches, sketches.sign_bits(model.centroids))
+
+
 def test_parse_errors_carry_line_numbers_through_the_engine():
     dataset = small_dataset()
     config = small_config()

@@ -1,4 +1,4 @@
-from dataclasses import astuple
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from sketchstream import EdgeRecord, ParseError, format_edge, parse_edge, read_stream
 from sketchstream.records import parse_edge_fields
+from sketchstream.shingles import ChunkDelta
 
 _NUMBERS = (0, 2, 4, 6)  # positions of the ids and the timestamp
 
@@ -13,6 +14,21 @@ _NUMBERS = (0, 2, 4, 6)  # positions of the ids and the timestamp
 def test_parse_simple_line():
     rec = parse_edge("1\ta\t2\tb\t5\tx\t0")
     assert rec == EdgeRecord(1, "a", 2, "b", 5, "x", 0)
+
+
+def test_records_and_deltas_are_immutable_values():
+    rec = EdgeRecord(1, "a", 2, "b", 5, "x", 0)
+    assert EdgeRecord._fields == (
+        "source_id", "source_type", "dest_id", "dest_type", "timestamp", "edge_type", "graph_id"
+    )
+    assert rec == EdgeRecord(1, "a", 2, "b", 5, "x", 0) != EdgeRecord(1, "a", 2, "b", 5, "x", 1)
+    with pytest.raises(AttributeError):
+        rec.graph_id = 3
+    delta = ChunkDelta.cancelled(["ab", "cd", "ab"], ["cd", "ef"])
+    assert delta == ChunkDelta({"ab": 2, "ef": -1}) != ChunkDelta({"ab": 2})
+    with pytest.raises(AttributeError):
+        delta.net = {}
+    assert delta.incoming == Counter(ab=2) and delta.outgoing == Counter(ef=1)
 
 
 def test_parse_multichar_type_symbol_fails():
@@ -139,7 +155,7 @@ def test_parse_edge_enforces_the_wire_contract(edits, end):
     assert len(raw) == 7
     for i in _NUMBERS:
         assert raw[i].isascii() and raw[i].isdigit()
-    values = astuple(rec)
+    values = tuple(rec)
     assert [values[i] for i in _NUMBERS] == [int(raw[i]) for i in _NUMBERS]
     for i in (1, 3, 5):
         assert len(values[i]) == 1 and 0x20 <= ord(values[i]) <= 0x7E

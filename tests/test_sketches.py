@@ -452,6 +452,53 @@ def test_held_values_survive_a_slab_clear(rng, monkeypatch):
     assert held.tolist() == _reference_rows(family, chunks[:1])[0]
 
 
+def test_a_one_chunk_miss_on_a_full_slab_clears_and_refills_it(rng, monkeypatch):
+    family = _slab_family(monkeypatch, 3, 32, 5, seed=4)
+    chunks = list(dict.fromkeys(_random_chunks(rng, 8, 5)))[:4]
+    _folded(family, _weights(chunks[:3]))
+    assert len(family._index) == len(family._slab)  # exactly full
+    counts = {chunks[3]: -1}
+    assert _folded(family, counts) == _reference_fold(family, counts)
+    assert family._index == {chunks[3]: 0}
+    assert np.array_equal(family._slab[0], family.hash_values(chunks[3]))
+
+
+@pytest.mark.parametrize(
+    "small_product", [None, 0, 1 << 62], ids=["default", "float-halves", "uint64"]
+)
+def test_misses_of_every_width_equal_the_scalar_path(rng, monkeypatch, small_product):
+    # one chunk per width, each a miss of its own, then one block of all
+    # the widths, padded to the longest; at L=100 the default threshold
+    # takes the uint64 product for one chunk and float halves for the block
+    if small_product is not None:
+        monkeypatch.setattr(sketches, "_SMALL_PRODUCT", small_product)
+    family = HashFamily.generate(100, 9, seed=12)
+    alphabet = string.printable[:95]
+    singles = ["".join(rng.choice(list(alphabet), width)) for width in range(1, 10)]
+    block = ["".join(rng.choice(list(alphabet), width)) for width in range(9, 0, -1)]
+    for chunk in singles:
+        family.fold(np.zeros(100), {chunk: 1})
+    family.fold(np.zeros(100), dict.fromkeys(block, 1))
+    chunks = singles + block
+    rows = [family._index[chunk] for chunk in chunks]
+    assert family._slab[rows].tolist() == _reference_rows(family, chunks)
+    assert [family.hash_values(c).tolist() for c in chunks] == _reference_rows(family, chunks)
+
+
+@pytest.mark.parametrize("rows", [0, 2, 6], ids=["empty", "loop-2", "product-6"])
+def test_fold_with_copy_returns_a_new_array_and_leaves_the_input(rng, rows):
+    family = HashFamily.generate(64, 6, seed=9)
+    chunks = list(dict.fromkeys(_random_chunks(rng, 20, 6)))[:rows]
+    counts = {chunk: (-3, 1, -1)[i % 3] for i, chunk in enumerate(chunks)}
+    projection = np.arange(64, dtype=np.float64)
+    folded = family.fold(projection, counts, copy=True)
+    assert folded is not projection
+    assert projection.tolist() == list(range(64))
+    assert (folded - projection).tolist() == _reference_fold(family, counts)
+    assert family.fold(projection, counts) is projection  # in place by default
+    assert projection.tolist() == folded.tolist()
+
+
 # 5,462 and 21,846 entries come just after the index dict grows to 16,384
 # and 65,536 slots, where it holds the most bytes per entry.
 @pytest.mark.parametrize("rows", [None, 5462, 21846], ids=["budget", "dict-16k", "dict-64k"])
