@@ -31,8 +31,8 @@ block into the int8 rows it is given: a fold's misses into their slab
 rows, ``hash_values`` into an array of its own, and ``batch_projection``
 into one reused block.
 
-:meth:`HashFamily.fold` adds a map of signed chunk counts into a
-projection, and it is the only reader of the family's cache: one
+:meth:`HashFamily.fold` adds a map of signed chunk counts to a
+projection, into a new array, and it is the only reader of the family's cache: one
 preallocated int8 slab, one row of ``sketch_bits`` bytes per chunk, and a
 dict from chunk to row. One byte budget, ``_CACHE_BYTES``, covers the
 slab, the dict and its keys. One dict lookup per chunk finds the cached
@@ -163,33 +163,30 @@ class HashFamily:
         self._write_values((chunk,), values)
         return values[0]
 
-    def fold(
-        self, projection: np.ndarray, counts: Mapping[str, int], copy: bool = False
-    ) -> np.ndarray:
-        """Add the signed chunk counts ``counts`` into ``projection`` (float64) and return it.
+    def fold(self, projection: np.ndarray, counts: Mapping[str, int]) -> np.ndarray:
+        """A new array: ``projection`` (float64, left unchanged) plus the chunk counts ``counts``.
 
-        With ``copy``, the sum is a new array and ``projection`` is left
-        alone. The uncached chunks are hashed together into the slab. A map
-        with more distinct chunks than the slab holds is projected without it.
+        The uncached chunks are hashed together into the slab. A map with
+        more distinct chunks than the slab holds is projected without it.
         """
-        out = None if copy else projection
         if len(counts) > len(self._slab):
-            return np.add(projection, _project(counts, self), out=out)
+            return projection + _project(counts, self)
         rows = self._rows(counts)
         slab = self._slab
         if len(rows) > _LOOP_ROWS:
             weights = np.fromiter(counts.values(), dtype=np.float64, count=len(rows))
-            return np.add(projection, _weighted_sum(weights, slab[rows]), out=out)
-        # The first add writes to ``out``, allocating it under ``copy``.
+            return projection + _weighted_sum(weights, slab[rows])
+        # The first add allocates the sum, and the others add into it.
+        out = None
         for row, count in zip(rows, counts.values()):
             if count == 1:
-                projection = np.add(projection, slab[row], out=out)
+                out = np.add(projection, slab[row], out=out)
             elif count == -1:
-                projection = np.subtract(projection, slab[row], out=out)
+                out = np.subtract(projection, slab[row], out=out)
             else:
-                projection = np.add(projection, slab[row] * np.float64(count), out=out)
-            out = projection
-        return projection.copy() if out is None else projection
+                out = np.add(projection, slab[row] * np.float64(count), out=out)
+            projection = out
+        return projection.copy() if out is None else out
 
     def _rows(self, chunks: Collection[str]) -> list[int]:
         """Slab rows that hold the values of distinct ``chunks``, no more than the slab holds.
@@ -218,8 +215,11 @@ class HashFamily:
         step = self._block_rows
         for start in range(0, len(chunks), step):
             sums = self._sums(chunks[start : start + step])
-            # Bit 0 of each sum picks its value, -1 or +1.
-            out[start : start + step] = _SIGNS[np.bitwise_and(sums, _ONE, out=sums)]
+            # Bit 0 of each sum, 0 or 1, becomes -1 or +1 in place.
+            block = out[start : start + step]
+            np.bitwise_and(sums, 1, out=block, casting="unsafe")
+            block += block
+            block -= 1
 
     def _sums(self, chunks: Sequence[str]) -> np.ndarray:
         """Multilinear sums mod 2**64 (uint64, n x L) of one non-empty block of chunks."""
@@ -242,10 +242,6 @@ class HashFamily:
         totals += halves[:, :bits]
         return totals
 
-
-# The hash value of a sum whose sign bit is 0, then 1.
-_SIGNS = np.array([-1, 1], dtype=np.int8)
-_ONE = np.uint64(1)
 
 
 def _check_chunk_len(max_chunk_len: int) -> None:
@@ -288,7 +284,7 @@ def fresh_state(sketch_bits: int) -> SketchState:
 
 def apply_delta(state: SketchState, family: HashFamily, delta: ChunkDelta) -> SketchState:
     """State after folding a chunk delta into ``state``, which is left unchanged."""
-    return SketchState(family.fold(state.projection, delta.net, copy=True))
+    return SketchState(family.fold(state.projection, delta.net))
 
 
 def batch_projection(counts: Mapping[str, int], family: HashFamily) -> SketchState:
