@@ -378,7 +378,8 @@ class ClusterModel:
 
     def _score_against(self, nearest: int, sketch: np.ndarray, fallback: float) -> float:
         if self.live[nearest]:
-            return self._distance_of_matches[np.count_nonzero(sketch == self._sketch_rows[nearest])]
+            matches = np.count_nonzero(sketch == self._sketch_rows[nearest])
+            return self._distance_of_matches[matches]
         if self.live.any():
             return min(self._distances(sketch))
         return fallback

@@ -32,9 +32,9 @@ rows, ``hash_values`` into an array of its own, and ``batch_projection``
 into one reused block.
 
 :meth:`HashFamily.fold` adds a map of signed chunk counts to a
-projection, into a new array, and it is the only reader of the family's cache: one
-preallocated int8 slab, one row of ``sketch_bits`` bytes per chunk, and a
-dict from chunk to row. One byte budget, ``_CACHE_BYTES``, covers the
+projection, into a new array. It is the only reader of the family's
+cache: one preallocated int8 slab, one row of ``sketch_bits`` bytes per
+chunk, and a dict from chunk to row. One byte budget, ``_CACHE_BYTES``, covers the
 slab, the dict and its keys. One dict lookup per chunk finds the cached
 rows, and the missing chunks are hashed into the free rows after them.
 When they do not fit, the cache is cleared all at once and refilled; it
@@ -101,8 +101,8 @@ class HashFamily:
     mutable slab of hashed chunks that every user of the family shares."""
 
     __slots__ = (
-        "coefficients", "sketch_bits", "max_chunk_len", "seed", "_table", "_halves", "_block_rows",
-        "_slab", "_index",
+        "coefficients", "sketch_bits", "max_chunk_len", "seed", "_table", "_halves",
+        "_block_rows", "_slab", "_index",
     )
 
     def __init__(self, coefficients: np.ndarray, seed: int):

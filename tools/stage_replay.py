@@ -69,22 +69,19 @@ def replay(lines: list[str], model_path: Path, max_edges: int | None, folds: boo
 
     family, states, updates = model.family, {}, []
     fold_ns, missed = [], []
+    timer, index = time.perf_counter_ns, family._index
     begin = clock()
-    if folds:
-        timer, index = time.perf_counter_ns, family._index
-        for rec, delta in zip(records, deltas):
-            state = states.get(rec.graph_id) or fresh_state(family.sketch_bits)
+    for rec, delta in zip(records, deltas):
+        state = states.get(rec.graph_id)
+        if state is None:
+            state = fresh_state(family.sketch_bits)
+        if folds:
             missed.append(any(chunk not in index for chunk in delta.net))
             start = timer()
-            state = apply_delta(state, family, delta)
+        state = states[rec.graph_id] = apply_delta(state, family, delta)
+        if folds:
             fold_ns.append(timer() - start)
-            states[rec.graph_id] = state
-            updates.append((rec.graph_id, state))
-    else:
-        for rec, delta in zip(records, deltas):
-            state = states.get(rec.graph_id) or fresh_state(family.sketch_bits)
-            states[rec.graph_id] = state = apply_delta(state, family, delta)
-            updates.append((rec.graph_id, state))
+        updates.append((rec.graph_id, state))
     seconds["apply"] = clock() - begin
     del model, family, states, deltas
 
@@ -144,10 +141,10 @@ def main(argv: list[str] | None = None) -> int:
         result["cpu_s"][stage] = median
         print(f"{stage:<8}{median:8.3f} s {median / max(edges, 1) * 1e6:8.2f} us/edge")
     if args.folds:
-        result["folds"] = fold_summary(
-            [ns for run in runs for ns in run["fold_ns"]], [m for run in runs for m in run["missed"]]
-        )
-        print("folds: " + ", ".join(f"{k} {v:.3g}" for k, v in result["folds"].items() if v is not None))
+        fold_ns = [ns for run in runs for ns in run["fold_ns"]]
+        result["folds"] = fold_summary(fold_ns, [miss for run in runs for miss in run["missed"]])
+        shown = [f"{key} {value:.3g}" for key, value in result["folds"].items() if value]
+        print("folds: " + ", ".join(shown))
     print(json.dumps(result))
     return 0
 
