@@ -290,11 +290,8 @@ class ClusterModel:
     def sketch_bits(self) -> int:
         return self.family.sketch_bits
 
-    def distances_to(self, sketch: np.ndarray) -> np.ndarray:
+    def distances_to(self, sketch: np.ndarray) -> list[float]:
         """Estimated cosine distance to every centroid; retired ones are inf."""
-        return np.array(self._distances(sketch))
-
-    def _distances(self, sketch: np.ndarray) -> list[float]:
         table = self._distance_of_matches
         distances = [table[np.count_nonzero(sketch == row)] for row in self._sketch_rows]
         if self._retired:
@@ -307,7 +304,7 @@ class ClusterModel:
         old_state = self.states.pop(graph_id, None)
         self.states[graph_id] = state
         sketch = state.sketch
-        distances = self._distances(sketch)
+        distances = self.distances_to(sketch)
         distance = min(distances)
         nearest = distances.index(distance)  # ties go to the lower index
         previous = self.assignments.get(graph_id, UNASSIGNED)
@@ -381,7 +378,7 @@ class ClusterModel:
             matches = np.count_nonzero(sketch == self._sketch_rows[nearest])
             return self._distance_of_matches[matches]
         if self.live.any():
-            return min(self._distances(sketch))
+            return min(self.distances_to(sketch))
         return fallback
 
 

@@ -243,7 +243,6 @@ class HashFamily:
         return totals
 
 
-
 def _check_chunk_len(max_chunk_len: int) -> None:
     if not 1 <= max_chunk_len <= MAX_EXACT_CHUNK_LEN:
         raise ValueError(
@@ -252,13 +251,9 @@ def _check_chunk_len(max_chunk_len: int) -> None:
         )
 
 
-# Zero as a 0-d array, which numpy compares against faster than against a Python 0.
-_ZERO = np.zeros(())
-
-
 def sign_bits(projection: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Sign pattern (bool, True for +1) of a projection, with sign(0) = +1."""
-    return np.greater_equal(projection, _ZERO, out=out)
+    return np.greater_equal(projection, 0, out=out)
 
 
 class SketchState:

@@ -604,7 +604,7 @@ def _assert_sketches_and_retired_clusters(model, sketch):
     # each centroid's sketch is re-signed after every change to its mean
     assert model.sketches.dtype == bool
     assert np.array_equal(model.sketches, sign_bits(model.centroids))
-    distances = model.distances_to(sketch)
+    distances = np.array(model.distances_to(sketch))
     assert np.all(np.isinf(distances[~model.live]))
     assert np.all(np.isfinite(distances[model.live]))
 
@@ -651,7 +651,7 @@ def test_sketches_and_retired_clusters_hold_through_random_events():
         # The score equals a recount against the centroids as they now stand,
         # also where update_graph kept the distance it had.
         distances = model.distances_to(state.sketch)
-        nearest = event.nearest if model.live[event.nearest] else int(distances.argmin())
+        nearest = event.nearest if model.live[event.nearest] else int(np.argmin(distances))
         assert model.scores[g] == event.score == distances[nearest]
     assert min(kinds[k] for k in ("flag", "join", "update", "reassign")) >= 20, kinds
     assert 1 <= kinds["retire"] < 4, kinds

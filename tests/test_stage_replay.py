@@ -23,7 +23,7 @@ def test_stage_replay_times_every_stage(tmp_path, capsys):
     spec.loader.exec_module(module)
 
     argv = ["--model", str(model_path), "--test", str(test_path), "--max-edges", "40"]
-    assert module.main(argv + ["--repeat", "2", "--folds"]) == 0
+    assert module.main(argv + ["--folds"]) == 0
     out = capsys.readouterr().out.splitlines()
     result = json.loads(out[-1])
     assert result["edges"] == len(dataset.test) and result["max_edges"] == 40

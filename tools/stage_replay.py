@@ -43,9 +43,6 @@ from sketchstream.shingles import edge_delta  # noqa: E402
 from sketchstream.sketches import apply_delta, fresh_state  # noqa: E402
 from sketchstream.store import GraphStore  # noqa: E402
 
-STAGES = ("parse", "delta", "apply", "update")
-
-
 def _load(path: Path):
     with open(path, "r", encoding="ascii", newline="") as fp:
         return load_model(fp)
@@ -115,11 +112,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--test", type=Path, help="test stream TSV (default: the workload's)")
     parser.add_argument("--max-edges", type=int,
                         help="resident-edge cap (default: the workload's; none without one)")
-    parser.add_argument("--repeat", type=int, default=1, help="whole replays; medians are printed")
     parser.add_argument("--folds", action="store_true", help="also time every fold on its own")
     args = parser.parse_args(argv)
-    if args.repeat < 1:
-        parser.error("--repeat must be at least 1")
 
     cache = ROOT / "perfbench" / "cache" / args.workload
     model_path = args.model or cache / "run" / "model.txt"
@@ -131,18 +125,14 @@ def main(argv: list[str] | None = None) -> int:
         manifest = json.loads((cache / "manifest.json").read_text())
         max_edges = len(lines) // 10 if manifest["settings"]["workload"]["bounded"] else None
 
-    runs = [replay(lines, model_path, max_edges, args.folds) for _ in range(args.repeat)]
-    edges = runs[0]["edges"]
-    result = {"edges": edges, "max_edges": max_edges, "cpu_s": {}}
-    print(f"{edges} edges, cap {max_edges}, {args.repeat} replay(s)")
-    for stage in STAGES:
-        values = [run["seconds"][stage] for run in runs]
-        median = statistics.median(values)
-        result["cpu_s"][stage] = median
-        print(f"{stage:<8}{median:8.3f} s {median / max(edges, 1) * 1e6:8.2f} us/edge")
+    run = replay(lines, model_path, max_edges, args.folds)
+    edges, seconds = run["edges"], run["seconds"]
+    result = {"edges": edges, "max_edges": max_edges, "cpu_s": seconds}
+    print(f"{edges} edges, cap {max_edges}")
+    for stage, cpu in seconds.items():
+        print(f"{stage:<8}{cpu:8.3f} s {cpu / max(edges, 1) * 1e6:8.2f} us/edge")
     if args.folds:
-        fold_ns = [ns for run in runs for ns in run["fold_ns"]]
-        result["folds"] = fold_summary(fold_ns, [miss for run in runs for miss in run["missed"]])
+        result["folds"] = fold_summary(run["fold_ns"], run["missed"])
         shown = [f"{key} {value:.3g}" for key, value in result["folds"].items() if value]
         print("folds: " + ", ".join(shown))
     print(json.dumps(result))
