@@ -31,15 +31,14 @@ marked as attack. Centroid projections are kept as real-valued running
 means because the incremental updates divide by cluster sizes; each
 change to a mean re-signs that centroid's row of bool sketches in place.
 An update's score is its distance to the nearest centroid, counted again
-only when the update moved that centroid. A cluster emptied by removals
-retires and is never matched again; under ``run_stream`` this cannot
-happen, since streamed graphs join only through an add and so never take
-out a loaded member, and only hand-built models reach it.
+only when the update moved that centroid. Every cluster holds at least one
+member: a model refuses a size below 1, and a graph leaves a cluster only
+after it joined through an add, so a cluster's size is its loaded size
+plus its streamed members and a removal never empties it.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -265,10 +264,10 @@ class ClusterModel:
         self.sketches = sign_bits(centroids)
         self.sizes = np.asarray(sizes, dtype=np.int64).copy()
         self.thresholds = np.asarray(thresholds, dtype=np.float64).copy()
-        self.live = self.sizes > 0
-        self._retired = not self.live.all()  # whether distances_to must mask
         if not (len(self.sizes) == len(self.thresholds) == centroids.shape[0]):
             raise ValueError("centroids, sizes and thresholds must align")
+        if (self.sizes < 1).any():
+            raise ValueError("every cluster size must be at least 1")
         # Estimated cosine distance for each count of matching sketch bits,
         # bit-identical to evaluating the formula on the counts themselves.
         matches = np.arange(family.sketch_bits + 1) / family.sketch_bits
@@ -290,14 +289,15 @@ class ClusterModel:
     def sketch_bits(self) -> int:
         return self.family.sketch_bits
 
+    @property
+    def live(self) -> np.ndarray:
+        """Which clusters hold a member: all of them, as no size drops below 1."""
+        return self.sizes > 0
+
     def distances_to(self, sketch: np.ndarray) -> list[float]:
-        """Estimated cosine distance to every centroid; retired ones are inf."""
+        """Estimated cosine distance to every centroid."""
         table = self._distance_of_matches
-        distances = [table[np.count_nonzero(sketch == row)] for row in self._sketch_rows]
-        if self._retired:
-            live = self.live.tolist()
-            distances = [d if live[q] else math.inf for q, d in enumerate(distances)]
-        return distances
+        return [table[np.count_nonzero(sketch == row)] for row in self._sketch_rows]
 
     def update_graph(self, graph_id: int, state: SketchState) -> AnomalyEvent:
         """Record a graph's new state and re-evaluate it against the clustering."""
@@ -329,7 +329,8 @@ class ClusterModel:
             # distance to the nearest one is still the score.
             score = distance
         else:
-            score = self._score_against(nearest, sketch, distance)
+            matches = np.count_nonzero(sketch == self._sketch_rows[nearest])
+            score = self._distance_of_matches[matches]
         self.scores[graph_id] = score
         return AnomalyEvent(score=score, nearest=nearest, flagged=flagged)
 
@@ -348,8 +349,6 @@ class ClusterModel:
     # -- centroid maintenance ---------------------------------------------
 
     def _add(self, cluster: int, projection: np.ndarray) -> None:
-        # Never called on a retired cluster: dead rows are inf in
-        # distances_to, so they are never the nearest.
         size = self.sizes.item(cluster)
         centroid = self._centroid_rows[cluster]
         np.divide(centroid * size + projection, size + 1, out=centroid)
@@ -357,14 +356,8 @@ class ClusterModel:
         self._resign(cluster)
 
     def _remove(self, cluster: int, projection: np.ndarray) -> None:
+        # The graph joined through _add, so size - 1 still counts every loaded member.
         size = self.sizes.item(cluster)
-        if size <= 1:
-            # Removing the last member would divide by zero; retire the
-            # cluster instead. It is never matched again.
-            self.sizes[cluster] = 0
-            self.live[cluster] = False
-            self._retired = True
-            return
         centroid = self._centroid_rows[cluster]
         np.divide(centroid * size - projection, size - 1, out=centroid)
         self.sizes[cluster] = size - 1
@@ -372,14 +365,6 @@ class ClusterModel:
 
     def _resign(self, cluster: int) -> None:
         sign_bits(self._centroid_rows[cluster], out=self._sketch_rows[cluster])
-
-    def _score_against(self, nearest: int, sketch: np.ndarray, fallback: float) -> float:
-        if self.live[nearest]:
-            matches = np.count_nonzero(sketch == self._sketch_rows[nearest])
-            return self._distance_of_matches[matches]
-        if self.live.any():
-            return min(self.distances_to(sketch))
-        return fallback
 
 
 def _chunk_vectors(shingle_lists: Sequence[list[str]], length: int) -> list[Counter]:

@@ -5,7 +5,7 @@ clusters it, and writes a text model file. The stream runner replays a
 test stream one edge at a time in arrival order against a loaded model:
 chunk delta (which inserts the edge and then evicts), sketch update,
 cluster update, score; a snapshot of the instantaneous ranking is
-recorded every ``snapshot interval`` edges and once at stream end.
+written every ``snapshot interval`` edges and once at stream end.
 
 Per edge, the work follows what the edge changed. The store keeps each
 node's out-edge labels concatenated, so at one and two hops the delta
@@ -74,6 +74,9 @@ class RunConfig:
             raise ValueError("snapshot_interval must be positive")
         if self.max_tracked_graphs is not None and self.max_tracked_graphs < 1:
             raise ValueError("max_tracked_graphs must be positive or None")
+        for name in ("cluster_seed", "family_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         # Checked here, before run_bootstrap loads and shingles a training stream.
         if not self.candidate_chunk_lengths or not all(
             1 <= length <= MAX_EXACT_CHUNK_LEN for length in self.candidate_chunk_lengths
@@ -90,8 +93,9 @@ class RunConfig:
 
 @dataclass
 class SnapshotRecord:
+    """A snapshot's edge count and ranking metrics; its rows go only to the CSV."""
+
     edges_processed: int
-    rows: list[tuple[int, float, str]]  # (graph_id, score, assignment)
     ap: float | None = None
     auc: float | None = None
 
@@ -182,7 +186,7 @@ def load_model(fp: IO[str]) -> ClusterModel:
         parts = lines[line_no - 1].split(" ")
         if len(parts) != 6 or parts[:3] != ["cluster", str(q), "size"] or parts[4] != "threshold":
             raise _model_error(line_no, f"expected 'cluster {q} size <n> threshold <t>'")
-        sizes.append(_model_value(int, parts[3], line_no, 0, 2**63 - 1))  # held as int64
+        sizes.append(_model_value(int, parts[3], line_no, 1, 2**63 - 1))  # held as int64
         thresholds.append(_model_value(float, parts[5], line_no))
     # Every row is checked before an array exists: a bad width allocates nothing.
     for q in range(n_clusters):
@@ -349,23 +353,19 @@ def _snapshot(
     csv_fp: IO[str] | None,
 ) -> SnapshotRecord:
     ranking = model.ranking()
-    rows = [
-        (graph_id, score, str(model.assignments.get(graph_id, UNASSIGNED)))
-        for graph_id, score in ranking
-    ]
     ap = auc = None
     if positives is not None and ranking:
         ranked_positives = sum(1 for g, _ in ranking if g in positives)
         if 0 < ranked_positives < len(ranking):
             ap = average_precision(ranking, positives)
             auc = roc_auc(ranking, positives)
-    record = SnapshotRecord(edges_processed=edges, rows=rows, ap=ap, auc=auc)
     if csv_fp is not None:
         ap_text = "" if ap is None else repr(ap)
         auc_text = "" if auc is None else repr(auc)
-        for graph_id, score, assignment in rows:
+        for graph_id, score in ranking:
+            assignment = model.assignments.get(graph_id, UNASSIGNED)
             csv_fp.write(f"{edges},{graph_id},{score!r},{assignment},{ap_text},{auc_text}\n")
-    return record
+    return SnapshotRecord(edges_processed=edges, ap=ap, auc=auc)
 
 
 def load_labels_file(path: str | Path) -> dict[int, str]:

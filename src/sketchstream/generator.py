@@ -70,6 +70,8 @@ class GeneratorConfig:
             raise ValueError("anomaly_fraction must lie in [0, 1)")
         if not 0.0 <= self.separation <= 1.0:
             raise ValueError("separation must lie in [0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         for name in ("node_type_alphabet", "edge_type_alphabet"):
             alphabet = getattr(self, name)
             if not alphabet:

@@ -275,8 +275,6 @@ def test_criterion_05_centroid_mean_invariant():
             members.pop(graph, None)
         if step % 500 == 0 or step == 9_999:
             for q in range(4):
-                if not model.live[q]:
-                    continue
                 mass = base_mass[q].copy()
                 count = base_sizes[q]
                 for gid, projection in members.items():

@@ -124,6 +124,9 @@ def test_stream_result_has_what_the_worker_reads():
         eval(expression, {"result": result})  # raises AttributeError if a name is gone
     assert result.states
     assert all(state.projection.shape == (model.sketch_bits,) for state in result.states.values())
+    # The worker checks only the centroids that `live` marks: all of them.
+    live = result.model.live
+    assert live.dtype == bool and live.shape == (model.n_clusters,) and live.all()
 
 
 def test_hash_values_is_one_signed_byte_per_function():

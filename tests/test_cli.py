@@ -311,6 +311,25 @@ def test_cli_reports_an_impossible_candidate_before_reading_input(tmp_path, caps
     assert capsys.readouterr().err.startswith("error: candidate_cluster_counts")
 
 
+@pytest.mark.parametrize(
+    "command,seeds,field",
+    [
+        ("bootstrap", ["--seed", -1, "--family-seed", 2], "cluster_seed"),
+        ("bootstrap", ["--seed", 1, "--family-seed", -1], "family_seed"),
+        ("generate", ["--seed", -1], "seed"),
+    ],
+    ids=["cluster-seed", "family-seed", "generate-seed"],
+)
+def test_cli_reports_a_negative_seed_before_any_file(tmp_path, capsys, command, seeds, field):
+    # The input does not exist and nothing is written: the seed is refused first.
+    missing, out = tmp_path / "missing.tsv", tmp_path / "out"
+    files = (["-i", missing, "--model-out", out] if command == "bootstrap"
+             else ["--out", out, "--labels-out", tmp_path / "labels"])
+    assert run_cli(command, *files, *seeds) == 1
+    assert capsys.readouterr().err == f"error: {field} must be non-negative\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # Each command's options that set a config field: option dest -> field.
 _CONFIG_OPTIONS = [
     (

@@ -1,4 +1,3 @@
-import io
 import itertools
 import math
 import weakref
@@ -32,7 +31,6 @@ from sketchstream.clustering import (
     chunk_length_entropies,
     pairwise_distance_matrix,
 )
-from sketchstream.engine import load_model, save_model
 from sketchstream.generator import LABEL_NORMAL
 from sketchstream.shingles import _cosine, _dot, _squared_norm, node_shingle
 from sketchstream.sketches import sign_bits
@@ -437,18 +435,11 @@ def test_reassignment_moves_projection_mass_between_clusters():
     assert np.allclose(model.centroids[1], (np.full(4, 5.0) * 3 + new.projection) / 4)
 
 
-def test_removing_last_member_retires_the_cluster():
+def test_a_cluster_size_below_one_is_refused():
     family = HashFamily.generate(4, 4, seed=1)
     centroids = np.array([[8.0, 8.0, -8.0, -8.0], [5.0, 5.0, 5.0, 5.0]])
-    model = ClusterModel(family, 1, 4, centroids, [1, 3], [2.5, 2.5])
-    model.assignments[9] = 0
-    model.states[9] = state_with([8, 8, -8, -8])
-    model.update_graph(9, state_with([6, 6, 6, 6]))
-    assert not model.live[0]
-    assert model.sizes[0] == 0
-    # retired clusters are never matched again
-    distances = model.distances_to(state_with([8, 8, -8, -8]).sketch)
-    assert math.isinf(distances[0])
+    with pytest.raises(ValueError, match="size must be at least 1"):
+        ClusterModel(family, 1, 4, centroids, [1, 0], [2.5, 2.5])
 
 
 def test_attack_graph_can_rejoin_later():
@@ -561,8 +552,6 @@ def test_centroid_tracks_member_mean_through_random_events(rng):
         if step % 97 and step != 3999:
             continue
         for q in range(3):
-            if not model.live[q]:
-                continue
             mass = base_mass[q].copy()
             count = 4
             for gid, proj in members.items():
@@ -600,42 +589,27 @@ def test_model_keeps_states_by_recency_and_forgets_them():
     np.testing.assert_allclose(model.centroids[0], (6.0 * 3 + 4.0) / 4)
 
 
-def _assert_sketches_and_retired_clusters(model, sketch):
-    # each centroid's sketch is re-signed after every change to its mean
-    assert model.sketches.dtype == bool
-    assert np.array_equal(model.sketches, sign_bits(model.centroids))
-    distances = np.array(model.distances_to(sketch))
-    assert np.all(np.isinf(distances[~model.live]))
-    assert np.all(np.isfinite(distances[model.live]))
-
-
-def test_sketches_and_retired_clusters_hold_through_random_events():
+def test_sketches_and_scores_hold_through_random_events():
     rng = np.random.default_rng(17)
-    bits, n_members = 16, 12
+    bits, n_graphs = 16, 16
     prototypes = np.where(rng.random((4, bits)) < 0.5, -10.0, 10.0)
-    # the bootstrap members stream again, so the last one to leave a
-    # cluster retires it
     homes = np.array([0, 1, 1, 2, 2, 2, 3, 3, 3, 3, 3, 3])
-    projections = prototypes[homes] + rng.integers(-3, 4, size=(n_members, bits))
-    centroids = np.stack([projections[homes == q].mean(axis=0) for q in range(4)])
-    sizes = np.bincount(homes)
-    model = ClusterModel(HashFamily.generate(bits, 4, seed=1), 1, 4, centroids, sizes, [0.35] * 4)
-    for g in range(n_members):
-        model.states[g] = SketchState(projections[g])
-        model.assignments[g] = int(homes[g])
+    members = prototypes[homes] + rng.integers(-3, 4, size=(homes.size, bits))
+    centroids = np.stack([members[homes == q].mean(axis=0) for q in range(4)])
+    loaded = np.bincount(homes)
+    model = ClusterModel(HashFamily.generate(bits, 4, seed=1), 1, 4, centroids, loaded, [0.35] * 4)
     kinds = Counter()
     for _ in range(3000):
-        g = int(rng.integers(0, n_members + 4))
+        g = int(rng.integers(0, n_graphs))
         old = model.states.get(g, fresh_state(bits)).projection
         jump = rng.random()
-        if jump < 0.05:  # to another cluster's pattern
+        if jump < 0.05:  # to a cluster's pattern
             projection = prototypes[rng.integers(0, 4)] + rng.integers(-3, 4, size=bits)
         elif jump < 0.08:  # to no cluster's
             projection = rng.integers(-10, 11, size=bits).astype(np.float64)
         else:
             projection = old + rng.integers(-2, 3, size=bits)
         previous = model.assignments.get(g, UNASSIGNED)
-        live = int(model.live.sum())
         state = SketchState(projection)
         event = model.update_graph(g, state)
         if event.flagged:
@@ -646,33 +620,15 @@ def test_sketches_and_retired_clusters_hold_through_random_events():
             kinds["update"] += 1
         else:
             kinds["reassign"] += 1
-        kinds["retire"] += live - int(model.live.sum())
-        _assert_sketches_and_retired_clusters(model, state.sketch)
+        # each centroid's sketch is re-signed after every change to its mean
+        assert model.sketches.dtype == bool
+        assert np.array_equal(model.sketches, sign_bits(model.centroids))
         # The score equals a recount against the centroids as they now stand,
         # also where update_graph kept the distance it had.
-        distances = model.distances_to(state.sketch)
-        nearest = event.nearest if model.live[event.nearest] else int(np.argmin(distances))
-        assert model.scores[g] == event.score == distances[nearest]
+        assert model.scores[g] == event.score == model.distances_to(state.sketch)[event.nearest]
+        joined = [a for a in model.assignments.values() if isinstance(a, int)]
+        assert model.sizes.tolist() == (loaded + np.bincount(joined, minlength=4)).tolist()
     assert min(kinds[k] for k in ("flag", "join", "update", "reassign")) >= 20, kinds
-    assert 1 <= kinds["retire"] < 4, kinds
-
-
-def test_a_loaded_cluster_of_size_zero_is_never_nearest():
-    bits = 8
-    centroids = np.array([[3.0] * bits, [-3.0] * 4 + [3.0] * 4, [-3.0] * bits])
-    built = ClusterModel(HashFamily.generate(bits, 4, seed=2), 1, 4, centroids, [2, 0, 1], [2.5] * 3)
-    text = io.StringIO()
-    save_model(built, text)
-    assert "cluster 1 size 0 " in text.getvalue()
-    model = load_model(io.StringIO(text.getvalue()))
-    assert model.live.tolist() == [True, False, True]
-    for g, projection in enumerate(centroids):
-        state = SketchState(projection.copy())
-        _assert_sketches_and_retired_clusters(model, state.sketch)
-        event = model.update_graph(g, state)
-        assert event.nearest != 1
-    # cluster 1's own pattern is 4 of 8 bits from both live clusters
-    assert model.assignments[1] in (0, 2)
 
 
 # -- bootstrap ----------------------------------------------------------------

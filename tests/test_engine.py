@@ -1,4 +1,5 @@
 import io
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -99,6 +100,8 @@ def test_bootstrap_is_deterministic(tmp_path):
         ("candidate_cluster_counts", ()),
         ("candidate_cluster_counts", (1,)),
         ("candidate_cluster_counts", (3, 1)),
+        ("cluster_seed", -1),
+        ("family_seed", -1),
     ],
 )
 def test_run_config_rejects_impossible_bootstrap_candidates(field, value):
@@ -182,6 +185,7 @@ def test_truncated_model_file_raises_value_error(model_text):
         pytest.param(4, lambda line: "hops \u0661", 4, id="hops-arabic-indic-digit"),
         pytest.param(5, lambda line: "family_seed \uff17", 5, id="family-seed-fullwidth-digit"),
         pytest.param(7, lambda line: line.replace(" size ", " size 0"), 7, id="size-leading-zero"),
+        pytest.param(7, lambda line: re.sub(r" size \d+ ", " size 0 ", line), 7, id="size-zero"),
         pytest.param(10, lambda line: line.rsplit(" ", 1)[0] + " 1e2", 10, id="projection-exponent"),
         pytest.param(10, lambda line: line.rsplit(" ", 1)[0] + " 3", 10, id="projection-int-text"),
     ],
@@ -247,10 +251,11 @@ def test_empty_stream_emits_single_empty_snapshot():
     dataset = small_dataset()
     config = small_config()
     model, _ = run_bootstrap(lines_of(dataset.train), config)
-    result = run_stream(model, [], config)
+    csv = io.StringIO()
+    result = run_stream(model, [], config, csv_fp=csv)
     assert len(result.snapshots) == 1
     assert result.snapshots[0].edges_processed == 0
-    assert result.snapshots[0].rows == []
+    assert csv.getvalue() == "edges_processed,graph_id,score,assignment,ap,auc\n"
     assert result.edges_processed == 0
 
 
@@ -317,7 +322,8 @@ def test_csv_has_expected_shape():
     data = [line.split(",") for line in lines[1:]]
     assert all(len(row) == 6 for row in data)
     snapshot_edges = {int(row[0]) for row in data}
-    assert snapshot_edges == {s.edges_processed for s in result.snapshots if s.rows}
+    # every snapshot after the first edge ranks at least one graph
+    assert snapshot_edges == {s.edges_processed for s in result.snapshots}
     assignments = {row[3] for row in data}
     assert assignments <= {"0", "1", "2", "ATTACK", "UNASSIGNED"}
 
@@ -416,11 +422,10 @@ def test_dropped_graph_leaves_store_and_sketch_consistent(seed, hops):
         vector = shingle_vector(result.store, graph_id, model.hops, model.chunk_length)
         expected = batch_projection(vector, model.family).projection
         assert np.array_equal(state.projection, expected), f"graph {graph_id}"
-    # Each live centroid is still the mean of its saved members and its
-    # tracked members: dropped graphs were taken back out of the means.
+    # Each centroid is still the mean of its saved members and its tracked
+    # members: dropped graphs were taken back out of the means.
     model = result.model
-    assert model.live.any()
-    for q in np.flatnonzero(model.live):
+    for q in range(model.n_clusters):
         members = [g for g, a in model.assignments.items() if isinstance(a, int) and a == q]
         assert model.sizes[q] == saved.sizes[q] + len(members)
         expected = saved.centroids[q] * saved.sizes[q]
@@ -431,8 +436,9 @@ def test_dropped_graph_leaves_store_and_sketch_consistent(seed, hops):
 
 @pytest.mark.parametrize("seed,hops", CASES)
 def test_streamed_runs_never_retire_a_cluster(seed, hops):
-    # A streamed graph joins a cluster only through _add, so a cluster keeps
-    # its loaded members: only a hand-built model can empty one.
+    # The invariant that lets a cluster never empty: a streamed graph joins
+    # only through an add, so each cluster's size is its loaded size plus
+    # the graphs assigned to it, under every memory bound and tracked cap.
     dataset = golden_dataset(seed)
     config = golden_config(seed, hops)
     model_text = io.StringIO()
@@ -440,10 +446,12 @@ def test_streamed_runs_never_retire_a_cluster(seed, hops):
     bound = len(dataset.test) // 10
     for cap, tracked in ((None, None), (bound, None), (bound, 3)):
         model = load_model(io.StringIO(model_text.getvalue()))
+        loaded = model.sizes.copy()
         run = replace(config, max_edges=cap, max_tracked_graphs=tracked)
         result = run_stream(model, lines_of(dataset.test), run)
-        assert result.model.live.all() and not result.model._retired
-        assert result.model.sizes.min() > 0
+        joined = [a for a in result.model.assignments.values() if isinstance(a, int)]
+        expected = loaded + np.bincount(joined, minlength=model.n_clusters)
+        assert result.model.sizes.tolist() == expected.tolist(), (cap, tracked)
 
 
 @pytest.mark.parametrize("seed,hops", CASES)
@@ -475,10 +483,11 @@ def test_unassigned_graphs_report_unassigned_in_snapshot():
     dataset = small_dataset()
     config = small_config(snapshot_interval=1)
     model, _ = run_bootstrap(lines_of(dataset.train), config)
-    result = run_stream(model, lines_of(dataset.test[:1]), config)
-    rows = result.snapshots[0].rows
+    csv = io.StringIO()
+    run_stream(model, lines_of(dataset.test[:1]), config, csv_fp=csv)
+    rows = [line.split(",") for line in csv.getvalue().splitlines()[1:]]
     assert len(rows) == 1
-    assert rows[0][2] in {UNASSIGNED, "ATTACK"} or rows[0][2].isdigit()
+    assert rows[0][3] in {UNASSIGNED, "ATTACK"} or rows[0][3].isdigit()
 
 
 def _reference_edge_delta(store, rec, hops, chunk_length):
@@ -543,9 +552,8 @@ def test_streamed_scores_equal_the_distance_to_the_updated_centroid():
 
     def checked_update(graph_id, state):
         event = update(graph_id, state)
-        if model.live[event.nearest]:
-            assert event.score == cosine_distance(state.sketch, model.sketches[event.nearest])
-            scored.append(event.score)
+        assert event.score == cosine_distance(state.sketch, model.sketches[event.nearest])
+        scored.append(event.score)
         return event
 
     model.update_graph = checked_update

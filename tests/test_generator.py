@@ -44,6 +44,8 @@ def test_config_validation():
         small_config(node_type_alphabet="aa")
     with pytest.raises(ValueError):
         small_config(edge_type_alphabet="a\tb")
+    with pytest.raises(ValueError, match="^seed must be non-negative$"):
+        small_config(seed=-1)
 
 
 def test_no_interleaving_when_width_is_one():
