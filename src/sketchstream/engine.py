@@ -31,7 +31,7 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable
 
 from .clustering import UNASSIGNED, BootstrapReport, ClusterModel, bootstrap_model
 from .generator import LABEL_ANOMALY, read_labels

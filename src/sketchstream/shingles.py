@@ -29,6 +29,10 @@ those characters out again. Chunks that end before the cut are the same
 on both sides, so only the chunks from there on are emitted. At three or
 more hops the new edge can reorder a traversal, so the old and the new
 shingles are both read from the store.
+
+The splice stays for speed: reading both sides from the store at one and
+two hops too, and emitting from the first chunk that differs, gave equal
+deltas but cut the benchmark's stream rate by 3–15% on both workloads.
 """
 
 from __future__ import annotations

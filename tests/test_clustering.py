@@ -31,7 +31,6 @@ from sketchstream.clustering import (
     chunk_length_entropies,
     pairwise_distance_matrix,
 )
-from sketchstream.generator import LABEL_NORMAL
 from sketchstream.shingles import _cosine, _dot, _squared_norm, node_shingle
 from sketchstream.sketches import sign_bits
 

@@ -1,6 +1,5 @@
 import io
 import re
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -515,17 +514,27 @@ def _reference_edge_delta(store, rec, hops, chunk_length):
     return delta
 
 
-@pytest.mark.parametrize("hops", [1, 2, 3])
-def test_edge_delta_matches_a_traversal_reference_at_every_edge(hops, monkeypatch):
+# Chunk lengths 1 and 2 start the splice of hops 1 and 2 at other offsets
+# from the new label than length 4 does. An id names the chunk length only
+# when it is not 4.
+@pytest.mark.parametrize(
+    "hops,chunk_length",
+    [
+        pytest.param(hops, length, id=f"{hops}" if length == 4 else f"{hops}-{length}")
+        for length in (4, 2, 1)
+        for hops in (1, 2, 3)
+    ],
+)
+def test_edge_delta_matches_a_traversal_reference_at_every_edge(hops, chunk_length, monkeypatch):
     # A small cap evicts on most edges and a tracked-graph cap of two
     # drops live graphs. A shadow store takes the same edges and drops
     # through the reference, and every edge's delta must equal it.
     dataset = small_dataset(seed=hops)
     config = small_config(hops=hops, max_edges=40, max_tracked_graphs=2)
     rng = np.random.default_rng(hops)
-    family = HashFamily.generate(config.sketch_bits, 4, seed=hops)
+    family = HashFamily.generate(config.sketch_bits, chunk_length, seed=hops)
     centroids = rng.normal(size=(2, config.sketch_bits))
-    model = ClusterModel(family, hops, 4, centroids, [3, 3], [0.5, 0.5])
+    model = ClusterModel(family, hops, chunk_length, centroids, [3, 3], [0.5, 0.5])
     shadow = GraphStore(capacity=config.max_edges)
     checked = []
 

@@ -200,7 +200,9 @@ def test_delta_equals_batch_difference_on_spec_cases():
 
 # Labels start at odd offsets after the 1-character type, so at lengths 1
 # and 2 every label straddles a chunk boundary.
-@pytest.mark.parametrize("hops,length", [(1, 4), (2, 3), (3, 7), (1, 1), (1, 2), (2, 1), (2, 2)])
+@pytest.mark.parametrize(
+    "hops,length", [(1, 4), (2, 3), (3, 7), (1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]
+)
 def test_delta_equals_batch_difference_on_generated_streams(hops, length):
     config = GeneratorConfig(
         num_behavior_classes=2,

@@ -1,4 +1,3 @@
-import math
 import string
 import tracemalloc
 from collections import Counter
